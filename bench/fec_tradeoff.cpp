@@ -17,9 +17,10 @@
 //
 // Every cell is deterministic (seeded loss, modeled energy), so the
 // emitted BENCH_fec.json doubles as a CI regression baseline: the
-// bench-smoke job re-runs this matrix at PBPAIR_BENCH_FRAMES=24 and
-// check_bench_regression --mode fec gates the recovery_rate and
-// j_per_frame columns against the committed file.
+// bench-smoke job re-runs this matrix at the baseline's
+// PBPAIR_BENCH_FRAMES=300 and check_bench_regression gates the
+// recovery_rate and j_per_frame columns against the committed file
+// (tolerances in obs::bench_gates()).
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -15,10 +15,10 @@
 // taper never mixes unlike configurations.
 //
 // The JSON report carries a "sessions_rows" array gated by
-// `check_bench_regression --mode sessions` against the committed
-// BENCH_sessions.json: sessions_per_sec has a relative floor and
-// p99_frame_ms a relative ceiling (log2 buckets quantize p99 to
-// power-of-two plateaus — CI thresholds must allow one bucket jump). A
+// `check_bench_regression` against the committed BENCH_sessions.json:
+// sessions_per_sec has a relative floor and p99_frame_ms a relative
+// ceiling, both 4.5x in obs::bench_gates() (log2 buckets quantize p99 to
+// power-of-two plateaus, so the factor must allow bucket jumps). A
 // determinism cross-check reruns the smallest count serial and in 3-frame
 // slices and compares the aggregate JSON byte-for-byte, so the report
 // doubles as a scheduling-independence smoke.

@@ -5,7 +5,7 @@
 // thread-local shard cell — no shared cache line, no mutex — and that
 // turning the whole obs layer on costs the paper pipeline almost nothing.
 // Two row families measure exactly that, gated in CI by
-// check_bench_regression --mode obs against the committed BENCH_obs.json:
+// check_bench_regression against the committed BENCH_obs.json:
 //
 //   bump/tN      N threads hammer one Counter (+ one Histogram every 4th
 //                op) of a private Registry for kOpsPerThread ops each.
@@ -21,9 +21,9 @@
 //                in-process abort bar is 1.5 (blowups only — wall-clock
 //                noise on a loaded box owns anything tighter).
 //
-// Both families are wall-clock, so the CI gate uses a generous relative
-// threshold; the PB_CHECK scaling assertions only run on machines with
-// enough cores for "parallel" to mean something.
+// Both families are wall-clock, so the CI gate (obs::bench_gates()) allows
+// a generous 1.5x growth; the PB_CHECK scaling assertions only run on
+// machines with enough cores for "parallel" to mean something.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -218,7 +218,7 @@ int main() {
     // setting (the per-frame obs cost is fixed, the codec cost scales
     // with frames, so short runs overstate the ratio); the hard abort
     // only catches blowups — drift is gated by check_bench_regression
-    // --mode obs against the committed BENCH_obs.json.
+    // against the committed BENCH_obs.json.
     PB_CHECK(row.overhead_ratio < 1.5);
   }
   bench::maybe_write_csv(bump_table, "obs_overhead_bump");

@@ -15,8 +15,9 @@
 // copy_reduction = 1 - copied/legacy is fully deterministic (ledger
 // counts, not timing) and must stay >= 0.70: the refactor's acceptance
 // bar, re-checked here on every run and gated in CI by
-// check_bench_regression --mode wire against the committed
-// BENCH_wire.json. packets_per_s is wall-clock and informational only.
+// check_bench_regression against the committed BENCH_wire.json
+// (tolerance in obs::bench_gates()). packets_per_s is wall-clock and
+// informational only.
 //
 // Rows: the scenario with CRC framing off (byte-identical wire to the
 // pre-arena build) and on (8-byte trailers, verify_integrity stage), so

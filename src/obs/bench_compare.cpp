@@ -1,319 +1,143 @@
 #include "obs/bench_compare.h"
 
+#include <set>
+#include <utility>
+
 namespace pbpair::obs {
+
+const std::vector<Gate>& bench_gates() {
+  static const std::vector<Gate> gates = {
+      // Per-kernel ns/call for every backend the baseline machine measured.
+      {"BENCH_kernels.json", "kernels", "*_ns", false, false, 1.25},
+      // Deterministic cells (seeded loss, modeled energy): the tolerances
+      // only absorb cross-compiler floating-point noise. recovery_rate is
+      // a fraction in [0, 1], so it gates on an absolute drop.
+      {"BENCH_fec.json", "fec_rows", "recovery_rate", true, true, 0.25},
+      {"BENCH_fec.json", "fec_rows", "j_per_frame", false, false, 1.25},
+      // Copy-ledger fraction, deterministic; packets_per_s is wall-clock
+      // and never gated.
+      {"BENCH_wire.json", "wire_rows", "copy_reduction", true, true, 0.05},
+      // Wall-clock on shared runners: generous enough to pass noise, tight
+      // enough to catch bumps falling back to a locked slow path.
+      {"BENCH_obs.json", "obs_rows", "ns_per_op", false, false, 1.5},
+      {"BENCH_obs.json", "obs_rows", "overhead_ratio", false, false, 1.5},
+      // p99 comes from log2-bucket histograms, so the factor counts bucket
+      // jumps: 4.5 passes two (4x, one flaky frame on a small fleet) and
+      // fails three (8x, a real scheduling regression).
+      {"BENCH_sessions.json", "sessions_rows", "sessions_per_sec", true,
+       false, 4.5},
+      {"BENCH_sessions.json", "sessions_rows", "p99_frame_ms", false, false,
+       4.5},
+  };
+  return gates;
+}
+
 namespace {
 
-const common::JsonValue* find_kernel(const common::JsonValue& report,
-                                     const std::string& name) {
-  const common::JsonValue* kernels = report.find("kernels");
-  if (kernels == nullptr || !kernels->is_array()) return nullptr;
-  for (const common::JsonValue& entry : kernels->items()) {
-    if (entry.string_at("name") == name) return &entry;
+using Status = GateVerdict::Status;
+
+const common::JsonValue* find_row(const common::JsonValue* rows,
+                                  const std::string& name) {
+  for (const common::JsonValue& row : rows->items()) {
+    if (row.string_at("name") == name) return &row;
   }
   return nullptr;
 }
 
-bool is_ns_field(const std::string& key) {
-  return key.size() > 3 && key.compare(key.size() - 3, 3, "_ns") == 0;
+bool field_matches(const std::string& pattern, const std::string& key) {
+  if (pattern.empty() || pattern[0] != '*') return key == pattern;
+  const std::size_t n = pattern.size() - 1;
+  return key.size() > n && key.compare(key.size() - n, n, pattern, 1) == 0;
 }
 
-const common::JsonValue* find_fec_row(const common::JsonValue& report,
-                                      const std::string& name) {
-  const common::JsonValue* rows = report.find("fec_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
+GateVerdict compare_field(const Gate& gate, const std::string& row,
+                          const std::string& field, double baseline,
+                          const common::JsonValue* current) {
+  GateVerdict v{.report = gate.report, .row = row, .field = field,
+                .baseline = baseline, .note = ""};
+  if (current == nullptr || !current->is_number()) {
+    const bool wildcard = gate.field[0] == '*';
+    v.status = wildcard ? Status::kWarn : Status::kFail;
+    v.note = wildcard ? "not measured here" : "missing field";
+    return v;
   }
-  return nullptr;
-}
-
-const common::JsonValue* find_wire_row(const common::JsonValue& report,
-                                       const std::string& name) {
-  const common::JsonValue* rows = report.find("wire_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
+  v.current = current->as_number();
+  const double t = gate.tolerance;
+  if (gate.higher_is_better) {
+    v.limit = gate.absolute ? baseline - t : baseline / t;
+  } else {
+    v.limit = gate.absolute ? baseline + t : baseline * t;
   }
-  return nullptr;
-}
-
-const common::JsonValue* find_obs_row(const common::JsonValue& report,
-                                      const std::string& name) {
-  const common::JsonValue* rows = report.find("obs_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
-  }
-  return nullptr;
-}
-
-const common::JsonValue* find_sessions_row(const common::JsonValue& report,
-                                           const std::string& name) {
-  const common::JsonValue* rows = report.find("sessions_rows");
-  if (rows == nullptr || !rows->is_array()) return nullptr;
-  for (const common::JsonValue& entry : rows->items()) {
-    if (entry.string_at("name") == name) return &entry;
-  }
-  return nullptr;
+  // Written as the pass condition so a NaN never passes.
+  const bool ok = gate.higher_is_better ? v.current >= v.limit
+                                        : v.current <= v.limit;
+  v.status = ok ? Status::kOk : Status::kFail;
+  return v;
 }
 
 }  // namespace
 
-BenchComparison compare_bench_reports(const common::JsonValue& baseline,
-                                      const common::JsonValue& current,
-                                      double threshold) {
-  BenchComparison result;
-  const common::JsonValue* base_kernels = baseline.find("kernels");
-  if (base_kernels == nullptr || !base_kernels->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_kernels->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_kernel(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_kernels.push_back(name);
+std::vector<GateVerdict> compare_reports(const ReportSet& baseline,
+                                         const ReportSet& current,
+                                         const std::vector<Gate>& gates) {
+  std::vector<GateVerdict> out;
+  auto flag = [&](const std::string& report, const std::string& row,
+                  Status status, const char* note) {
+    out.push_back({.report = report, .row = row, .field = "",
+                   .status = status, .note = note});
+  };
+  std::set<std::pair<std::string, std::string>> seen;
+  for (const Gate& table : gates) {
+    if (!seen.insert({table.report, table.rows}).second) continue;
+    const auto base_it = baseline.find(table.report);
+    const auto cur_it = current.find(table.report);
+    if (base_it == baseline.end() || cur_it == current.end()) {
+      flag(table.report, "", Status::kFail,
+           base_it == baseline.end() ? "missing baseline file"
+                                     : "missing current file");
       continue;
     }
-    for (const auto& [key, value] : base_entry.members()) {
-      if (!is_ns_field(key) || !value.is_number()) continue;
-      const common::JsonValue* cur_value = cur_entry->find(key);
-      // A backend can legitimately disappear (baseline machine had AVX2,
-      // this one does not); only fields measured by BOTH runs compare.
-      if (cur_value == nullptr || !cur_value->is_number()) continue;
-      BenchDelta delta;
-      delta.kernel = name;
-      delta.field = key;
-      delta.baseline_ns = value.as_number();
-      delta.current_ns = cur_value->as_number();
-      delta.regression = delta.baseline_ns > 0.0 &&
-                         delta.current_ns >
-                             delta.baseline_ns * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
+    static const common::JsonValue kNoRows;
+    const common::JsonValue* base_rows = base_it->second.find(table.rows);
+    const common::JsonValue* cur_rows = cur_it->second.find(table.rows);
+    if (base_rows == nullptr || base_rows->items().empty()) {
+      flag(table.report, "", Status::kFail, "baseline has no rows");
+      continue;
     }
-  }
-  const common::JsonValue* cur_kernels = current.find("kernels");
-  if (cur_kernels != nullptr && cur_kernels->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_kernels->items()) {
-      const std::string& name = cur_entry.string_at("name");
+    if (cur_rows == nullptr) cur_rows = &kNoRows;
+
+    for (const common::JsonValue& base_row : base_rows->items()) {
+      const std::string& name = base_row.string_at("name");
       if (name.empty()) continue;
-      if (find_kernel(baseline, name) == nullptr) {
-        result.unknown_kernels.push_back(name);
-      }
-    }
-  }
-  return result;
-}
-
-FecComparison compare_fec_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold) {
-  FecComparison result;
-  const common::JsonValue* base_rows = baseline.find("fec_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_fec_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    auto both = [&](const char* field, const common::JsonValue** base_value,
-                    const common::JsonValue** cur_value) {
-      *base_value = base_entry.find(field);
-      *cur_value = cur_entry->find(field);
-      return *base_value != nullptr && (*base_value)->is_number() &&
-             *cur_value != nullptr && (*cur_value)->is_number();
-    };
-    const common::JsonValue* base_value = nullptr;
-    const common::JsonValue* cur_value = nullptr;
-    // Recovery rate is a fraction in [0, 1]: gate on ABSOLUTE drop.
-    if (both("recovery_rate", &base_value, &cur_value)) {
-      FecDelta delta;
-      delta.row = name;
-      delta.field = "recovery_rate";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.current < delta.baseline - threshold;
-      result.deltas.push_back(std::move(delta));
-    }
-    // Energy per frame: gate on RELATIVE growth, like the kernel timings.
-    if (both("j_per_frame", &base_value, &cur_value)) {
-      FecDelta delta;
-      delta.row = name;
-      delta.field = "j_per_frame";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-  }
-  const common::JsonValue* cur_rows = current.find("fec_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_fec_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
-      }
-    }
-  }
-  return result;
-}
-
-WireComparison compare_wire_reports(const common::JsonValue& baseline,
-                                    const common::JsonValue& current,
-                                    double threshold) {
-  WireComparison result;
-  const common::JsonValue* base_rows = baseline.find("wire_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_wire_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    const common::JsonValue* base_value = base_entry.find("copy_reduction");
-    const common::JsonValue* cur_value = cur_entry->find("copy_reduction");
-    if (base_value == nullptr || !base_value->is_number() ||
-        cur_value == nullptr || !cur_value->is_number()) {
-      continue;
-    }
-    WireDelta delta;
-    delta.row = name;
-    delta.field = "copy_reduction";
-    delta.baseline = base_value->as_number();
-    delta.current = cur_value->as_number();
-    // A fraction in [0, 1]: gate on ABSOLUTE drop, like recovery_rate.
-    delta.regression = delta.current < delta.baseline - threshold;
-    result.deltas.push_back(std::move(delta));
-  }
-  const common::JsonValue* cur_rows = current.find("wire_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_wire_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
-      }
-    }
-  }
-  return result;
-}
-
-ObsComparison compare_obs_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold) {
-  ObsComparison result;
-  const common::JsonValue* base_rows = baseline.find("obs_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_obs_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    // Both gated fields are "smaller is better" costs: relative growth.
-    for (const char* field : {"ns_per_op", "overhead_ratio"}) {
-      const common::JsonValue* base_value = base_entry.find(field);
-      const common::JsonValue* cur_value = cur_entry->find(field);
-      if (base_value == nullptr || !base_value->is_number() ||
-          cur_value == nullptr || !cur_value->is_number()) {
+      const common::JsonValue* cur_row = find_row(cur_rows, name);
+      if (cur_row == nullptr) {
+        flag(table.report, name, Status::kFail, "missing row");
         continue;
       }
-      ObsDelta delta;
-      delta.row = name;
-      delta.field = field;
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
+      for (const Gate& gate : gates) {
+        if (gate.report != table.report || gate.rows != table.rows) continue;
+        for (const auto& [key, value] : base_row.members()) {
+          if (!field_matches(gate.field, key) || !value.is_number()) continue;
+          out.push_back(compare_field(gate, name, key, value.as_number(),
+                                      cur_row->find(key)));
+        }
+      }
     }
-  }
-  const common::JsonValue* cur_rows = current.find("obs_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_obs_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
+    for (const common::JsonValue& cur_row : cur_rows->items()) {
+      const std::string& name = cur_row.string_at("name");
+      if (!name.empty() && find_row(base_rows, name) == nullptr) {
+        flag(table.report, name, Status::kWarn, "new row");
       }
     }
   }
-  return result;
+  return out;
 }
 
-SessionsComparison compare_sessions_reports(const common::JsonValue& baseline,
-                                            const common::JsonValue& current,
-                                            double threshold) {
-  SessionsComparison result;
-  const common::JsonValue* base_rows = baseline.find("sessions_rows");
-  if (base_rows == nullptr || !base_rows->is_array()) return result;
-
-  for (const common::JsonValue& base_entry : base_rows->items()) {
-    const std::string& name = base_entry.string_at("name");
-    if (name.empty()) continue;
-    const common::JsonValue* cur_entry = find_sessions_row(current, name);
-    if (cur_entry == nullptr) {
-      result.missing_rows.push_back(name);
-      continue;
-    }
-    const common::JsonValue* base_value = nullptr;
-    const common::JsonValue* cur_value = nullptr;
-    auto both = [&](const char* field) {
-      base_value = base_entry.find(field);
-      cur_value = cur_entry->find(field);
-      return base_value != nullptr && base_value->is_number() &&
-             cur_value != nullptr && cur_value->is_number();
-    };
-    // Throughput floor: fail when the baseline exceeds the current rate by
-    // the threshold factor. Phrased as baseline > current * (1 + t) rather
-    // than current < baseline * (1 - t) so thresholds above 1.0 (needed by
-    // the latency gate's bucket quantization) keep a meaningful floor.
-    if (both("sessions_per_sec")) {
-      SessionsDelta delta;
-      delta.row = name;
-      delta.field = "sessions_per_sec";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.current > 0.0 &&
-                         delta.baseline > delta.current * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
-    // Latency ceiling: relative growth, like the kernel timings. The p99
-    // sits on power-of-two bucket bounds, so one bucket jump doubles it —
-    // callers gate with threshold >= 1.0.
-    if (both("p99_frame_ms")) {
-      SessionsDelta delta;
-      delta.row = name;
-      delta.field = "p99_frame_ms";
-      delta.baseline = base_value->as_number();
-      delta.current = cur_value->as_number();
-      delta.regression = delta.baseline > 0.0 &&
-                         delta.current > delta.baseline * (1.0 + threshold);
-      result.deltas.push_back(std::move(delta));
-    }
+bool gates_pass(const std::vector<GateVerdict>& verdicts) {
+  for (const GateVerdict& v : verdicts) {
+    if (v.status == Status::kFail) return false;
   }
-  const common::JsonValue* cur_rows = current.find("sessions_rows");
-  if (cur_rows != nullptr && cur_rows->is_array()) {
-    for (const common::JsonValue& cur_entry : cur_rows->items()) {
-      const std::string& name = cur_entry.string_at("name");
-      if (name.empty()) continue;
-      if (find_sessions_row(baseline, name) == nullptr) {
-        result.unknown_rows.push_back(name);
-      }
-    }
-  }
-  return result;
+  return true;
 }
 
 }  // namespace pbpair::obs

@@ -1,13 +1,20 @@
-// Benchmark regression detection over BENCH_*.json reports.
+// Benchmark regression gate over the committed BENCH_*.json baselines.
 //
-// Compares the per-kernel ns/call numbers of a freshly produced report
-// against a committed baseline: any `*_ns` field present in both reports
-// for the same kernel name counts, and a measurement is a regression when
-// current > baseline * (1 + threshold). The comparison logic lives in the
-// library so tests can drive it; tools/check_bench_regression is the thin
-// CLI used by CI.
+// One table, bench_gates(), lists every gated column of every committed
+// report: the file, its rows array, the field, which direction is better
+// and how much worse a fresh run may get. compare_reports() applies a gate
+// table to a set of baseline reports and a set of fresh ones and returns
+// one verdict per (report, row, field). The logic lives in the library so
+// tests can drive it; tools/check_bench_regression is the thin CLI CI runs.
+//
+// Row rules, shared by every gate: rows match by "name"; a baseline row
+// absent from the current report fails (a vanished row hides a
+// regression); a current row with no baseline only warns (a new operating
+// point must not fail CI before its baseline lands); a field gates a row
+// only when the baseline row carries it. Improvements never fail.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,201 +22,51 @@
 
 namespace pbpair::obs {
 
-struct BenchDelta {
-  std::string kernel;
-  std::string field;      // e.g. "scalar_ns"
-  double baseline_ns = 0.0;
-  double current_ns = 0.0;
-  bool regression = false;
-
-  /// current / baseline (1.0 = unchanged, 2.0 = twice as slow).
-  double ratio() const {
-    return baseline_ns > 0.0 ? current_ns / baseline_ns : 1.0;
-  }
+struct Gate {
+  std::string report;  // file name, e.g. "BENCH_fec.json"
+  std::string rows;    // array of row objects, e.g. "fec_rows"
+  /// Column name. A leading '*' matches every column with that suffix
+  /// ("*_ns": each per-backend kernel timing); such a column missing from
+  /// the current row only warns, because a runner without AVX-512 has no
+  /// avx512_ns. A named column missing from the current row fails.
+  std::string field;
+  bool higher_is_better = false;
+  /// Absolute: fails when current is worse than baseline by more than
+  /// `tolerance` (for fractions such as recovery_rate). Relative: fails
+  /// when current > baseline * tolerance (lower is better) or
+  /// baseline > current * tolerance (higher is better), so a factor above
+  /// 2 still leaves a meaningful throughput floor.
+  bool absolute = false;
+  double tolerance = 1.0;
 };
 
-struct BenchComparison {
-  std::vector<BenchDelta> deltas;
-  /// Kernels in the baseline that the current report no longer measures
-  /// (treated as failures: a silently vanished benchmark hides a
-  /// regression).
-  std::vector<std::string> missing_kernels;
-  /// Kernels the current report measures that the baseline has never seen
-  /// (warn-only: a newly added kernel must not fail CI before its baseline
-  /// row is committed).
-  std::vector<std::string> unknown_kernels;
+/// The gates CI enforces. It is also the one list of gated reports: every
+/// file named here must be present in both the baseline and current sets.
+const std::vector<Gate>& bench_gates();
 
-  bool ok() const {
-    if (!missing_kernels.empty()) return false;
-    for (const BenchDelta& d : deltas) {
-      if (d.regression) return false;
-    }
-    return true;
-  }
-};
-
-/// Diffs two reports with the BENCH_kernels.json schema ("kernels" array
-/// of {"name", "*_ns"...}). `threshold` is the allowed fractional
-/// slowdown, e.g. 0.25 = fail beyond +25% ns/call.
-BenchComparison compare_bench_reports(const common::JsonValue& baseline,
-                                      const common::JsonValue& current,
-                                      double threshold);
-
-/// One gated measurement of a BENCH_fec.json row. Unlike the kernel
-/// timings, FEC rows are fully deterministic (seeded loss, modeled
-/// energy), so the threshold only has to absorb cross-compiler
-/// floating-point noise, not scheduler jitter.
-struct FecDelta {
-  std::string row;        // e.g. "ge/hybrid/k8m2"
-  std::string field;      // "recovery_rate" | "j_per_frame"
+struct GateVerdict {
+  enum class Status { kOk, kWarn, kFail };
+  std::string report;
+  std::string row;    // empty when the finding is about the whole report
+  std::string field;  // empty when the whole row is missing or new
   double baseline = 0.0;
   double current = 0.0;
-  bool regression = false;
+  /// The worst current value that still passes (comparisons only).
+  double limit = 0.0;
+  Status status = Status::kOk;
+  /// Empty for a plain comparison; otherwise why there is nothing to
+  /// compare ("missing row", "new row", ...).
+  std::string note;
 };
 
-struct FecComparison {
-  std::vector<FecDelta> deltas;
-  /// Rows in the baseline that the current report no longer emits
-  /// (failures: a vanished matrix cell hides a regression).
-  std::vector<std::string> missing_rows;
-  /// Rows measured now but absent from the committed baseline (warn-only:
-  /// a new operating point must not fail CI before its baseline row
-  /// lands).
-  std::vector<std::string> unknown_rows;
+/// Parsed reports keyed by file name ("BENCH_fec.json").
+using ReportSet = std::map<std::string, common::JsonValue>;
 
-  bool ok() const {
-    if (!missing_rows.empty()) return false;
-    for (const FecDelta& d : deltas) {
-      if (d.regression) return false;
-    }
-    return true;
-  }
-};
+std::vector<GateVerdict> compare_reports(const ReportSet& baseline,
+                                         const ReportSet& current,
+                                         const std::vector<Gate>& gates);
 
-/// Diffs two reports with the BENCH_fec.json schema ("fec_rows" array of
-/// {"name", "recovery_rate", "j_per_frame", ...}), matching rows by name.
-/// Regressions: recovery_rate falling more than `threshold` ABSOLUTE
-/// below baseline, or j_per_frame growing more than `threshold` RELATIVE
-/// above it. Improvements never fail.
-FecComparison compare_fec_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold);
-
-/// One gated measurement of a BENCH_wire.json row. copy_reduction is the
-/// deterministic fraction of per-frame payload-copy bytes the arena path
-/// eliminates (copy-ledger counts, not timing), so like the FEC rows the
-/// threshold only absorbs cross-compiler noise. packets_per_s in the same
-/// report is wall-clock and stays informational — never gated.
-struct WireDelta {
-  std::string row;        // e.g. "ge/hybrid/k8m2"
-  std::string field;      // "copy_reduction"
-  double baseline = 0.0;
-  double current = 0.0;
-  bool regression = false;
-};
-
-struct WireComparison {
-  std::vector<WireDelta> deltas;
-  /// Rows in the baseline that the current report no longer emits
-  /// (failures: a vanished scenario hides a regression).
-  std::vector<std::string> missing_rows;
-  /// Rows measured now but absent from the committed baseline (warn-only).
-  std::vector<std::string> unknown_rows;
-
-  bool ok() const {
-    if (!missing_rows.empty()) return false;
-    for (const WireDelta& d : deltas) {
-      if (d.regression) return false;
-    }
-    return true;
-  }
-};
-
-/// Diffs two reports with the BENCH_wire.json schema ("wire_rows" array of
-/// {"name", "copy_reduction", ...}), matching rows by name. Regression:
-/// copy_reduction falling more than `threshold` ABSOLUTE below baseline
-/// (it is a fraction in [0, 1]). Improvements never fail.
-WireComparison compare_wire_reports(const common::JsonValue& baseline,
-                                    const common::JsonValue& current,
-                                    double threshold);
-
-/// One gated measurement of a BENCH_obs.json row. The bump/* rows gate
-/// ns_per_op (the sharded counter/histogram fast path); the pipeline/*
-/// rows gate overhead_ratio (full pipeline with obs on over obs off).
-/// Both are wall-clock, so the CI threshold absorbs scheduler jitter.
-struct ObsDelta {
-  std::string row;        // e.g. "bump/t8", "pipeline/t2"
-  std::string field;      // "ns_per_op" | "overhead_ratio"
-  double baseline = 0.0;
-  double current = 0.0;
-  bool regression = false;
-};
-
-struct ObsComparison {
-  std::vector<ObsDelta> deltas;
-  /// Rows in the baseline that the current report no longer emits
-  /// (failures: a vanished thread count hides a scaling regression).
-  std::vector<std::string> missing_rows;
-  /// Rows measured now but absent from the committed baseline (warn-only).
-  std::vector<std::string> unknown_rows;
-
-  bool ok() const {
-    if (!missing_rows.empty()) return false;
-    for (const ObsDelta& d : deltas) {
-      if (d.regression) return false;
-    }
-    return true;
-  }
-};
-
-/// Diffs two reports with the BENCH_obs.json schema ("obs_rows" array of
-/// {"name", "ns_per_op"?, "overhead_ratio"?, ...}), matching rows by name.
-/// Both gated fields regress on RELATIVE growth beyond `threshold`
-/// (current > baseline * (1 + threshold)). Improvements never fail.
-ObsComparison compare_obs_reports(const common::JsonValue& baseline,
-                                  const common::JsonValue& current,
-                                  double threshold);
-
-/// One gated measurement of a BENCH_sessions.json row. sessions_per_sec
-/// is a throughput FLOOR (bigger is better), p99_frame_ms a latency
-/// CEILING (smaller is better). Both are wall-clock; p99 additionally
-/// comes from log2-bucket histograms whose quantiles sit on power-of-two
-/// plateaus, so a CI threshold must allow at least one bucket jump
-/// (a 2x ratio — use threshold >= 1.0 for the sessions gate).
-struct SessionsDelta {
-  std::string row;        // e.g. "n256", "n10000"
-  std::string field;      // "sessions_per_sec" | "p99_frame_ms"
-  double baseline = 0.0;
-  double current = 0.0;
-  bool regression = false;
-};
-
-struct SessionsComparison {
-  std::vector<SessionsDelta> deltas;
-  /// Rows in the baseline that the current report no longer emits
-  /// (failures: a vanished scaling point hides a capacity regression).
-  std::vector<std::string> missing_rows;
-  /// Rows measured now but absent from the committed baseline (warn-only).
-  std::vector<std::string> unknown_rows;
-
-  bool ok() const {
-    if (!missing_rows.empty()) return false;
-    for (const SessionsDelta& d : deltas) {
-      if (d.regression) return false;
-    }
-    return true;
-  }
-};
-
-/// Diffs two reports with the BENCH_sessions.json schema ("sessions_rows"
-/// array of {"name", "sessions_per_sec", "p99_frame_ms", ...}), matching
-/// rows by name. Regressions: sessions_per_sec falling so that
-/// baseline > current * (1 + threshold) (throughput floor, symmetric with
-/// the growth gates so thresholds > 1 stay meaningful), or p99_frame_ms
-/// growing beyond baseline * (1 + threshold) (latency ceiling).
-/// Improvements never fail.
-SessionsComparison compare_sessions_reports(const common::JsonValue& baseline,
-                                            const common::JsonValue& current,
-                                            double threshold);
+/// True when no verdict fails; warnings pass.
+bool gates_pass(const std::vector<GateVerdict>& verdicts);
 
 }  // namespace pbpair::obs

@@ -1,6 +1,8 @@
 // Tests for canonical Huffman construction and the codec VLC tables.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "codec/huffman.h"
 #include "codec/vlc_tables.h"
 #include "common/rng.h"
@@ -108,6 +110,14 @@ struct CoeffCase {
   int run;
   int level;
 };
+
+// Names each case by its fields. gtest's fallback prints the raw bytes,
+// including the uninitialised padding after `last`, so the test names
+// changed from run to run.
+void PrintTo(const CoeffCase& c, std::ostream* os) {
+  *os << '{' << (c.last ? "true" : "false") << ", " << c.run << ", "
+      << c.level << '}';
+}
 
 class CoeffVlcRoundTrip : public ::testing::TestWithParam<CoeffCase> {};
 

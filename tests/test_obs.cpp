@@ -1,5 +1,5 @@
 // Observability layer tests: registry/trace units, exporter validity, the
-// bench-regression comparator, and the layer's load-bearing invariant —
+// JSON parser, and the layer's load-bearing invariant —
 // enabling tracing must not change a single output byte (bitstreams, sim
 // reports, energy figures) and deterministic metrics must be identical at
 // any sweep thread count.
@@ -16,7 +16,6 @@
 #include "codec/encoder.h"
 #include "common/json.h"
 #include "net/loss_model.h"
-#include "obs/bench_compare.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/parallel_sweep.h"
@@ -527,238 +526,6 @@ TEST(ObsPipeline, FrameTraceJsonlIsDeterministicAndParses) {
   EXPECT_TRUE(saw_header);
   EXPECT_EQ(rows, config.frames);
   std::remove(path.c_str());
-}
-
-TEST(BenchCompare, PassesWithinThresholdFailsBeyondIt) {
-  const char* baseline_text = R"({"kernels": [
-      {"name": "sad_16x16", "scalar_ns": 100.0, "sse2_ns": 40.0},
-      {"name": "dct_8x8", "scalar_ns": 200.0}]})";
-  const char* current_text = R"({"kernels": [
-      {"name": "sad_16x16", "scalar_ns": 110.0, "sse2_ns": 70.0},
-      {"name": "dct_8x8", "scalar_ns": 190.0}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::BenchComparison result =
-      obs::compare_bench_reports(baseline, current, 0.25);
-  EXPECT_FALSE(result.ok());  // sse2 went 40 -> 70: +75%
-  ASSERT_EQ(result.deltas.size(), 3u);
-  int regressions = 0;
-  for (const obs::BenchDelta& d : result.deltas) {
-    if (d.regression) {
-      ++regressions;
-      EXPECT_EQ(d.kernel, "sad_16x16");
-      EXPECT_EQ(d.field, "sse2_ns");
-      EXPECT_NEAR(d.ratio(), 1.75, 1e-9);
-    }
-  }
-  EXPECT_EQ(regressions, 1);
-
-  // A generous threshold accepts the same pair.
-  EXPECT_TRUE(obs::compare_bench_reports(baseline, current, 1.0).ok());
-}
-
-TEST(BenchCompare, MissingKernelIsAFailureMissingFieldIsNot) {
-  const char* baseline_text = R"({"kernels": [
-      {"name": "sad_16x16", "scalar_ns": 100.0, "avx2_ns": 20.0},
-      {"name": "quant_block", "scalar_ns": 50.0}]})";
-  // avx2_ns absent (machine without AVX2): tolerated. quant_block gone
-  // entirely: failure.
-  const char* current_text = R"({"kernels": [
-      {"name": "sad_16x16", "scalar_ns": 100.0}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::BenchComparison result =
-      obs::compare_bench_reports(baseline, current, 0.25);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_kernels.size(), 1u);
-  EXPECT_EQ(result.missing_kernels[0], "quant_block");
-  ASSERT_EQ(result.deltas.size(), 1u);
-  EXPECT_FALSE(result.deltas[0].regression);
-}
-
-TEST(BenchCompare, FecGatesRecoveryAbsoluteAndEnergyRelative) {
-  const char* baseline_text = R"({"fec_rows": [
-      {"name": "ge/hybrid/k8m2", "recovery_rate": 0.60, "j_per_frame": 0.010},
-      {"name": "iid/fec/k8m1", "recovery_rate": 0.90, "j_per_frame": 0.011}]})";
-  // Row 1: recovery fell 0.60 -> 0.20 (beyond a 0.25 absolute drop) while
-  // energy improved. Row 2: recovery improved but energy grew +45%.
-  const char* current_text = R"({"fec_rows": [
-      {"name": "ge/hybrid/k8m2", "recovery_rate": 0.20, "j_per_frame": 0.009},
-      {"name": "iid/fec/k8m1", "recovery_rate": 0.95, "j_per_frame": 0.016}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::FecComparison result =
-      obs::compare_fec_reports(baseline, current, 0.25);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.deltas.size(), 4u);
-  int regressions = 0;
-  for (const obs::FecDelta& d : result.deltas) {
-    if (!d.regression) continue;
-    ++regressions;
-    if (d.row == "ge/hybrid/k8m2") {
-      EXPECT_EQ(d.field, "recovery_rate");
-    } else {
-      EXPECT_EQ(d.row, "iid/fec/k8m1");
-      EXPECT_EQ(d.field, "j_per_frame");
-    }
-  }
-  EXPECT_EQ(regressions, 2);
-
-  // Generous thresholds accept the same pair.
-  EXPECT_TRUE(obs::compare_fec_reports(baseline, current, 0.50).ok());
-}
-
-TEST(BenchCompare, FecMissingRowFailsUnknownRowOnlyWarns) {
-  const char* baseline_text = R"({"fec_rows": [
-      {"name": "ge/pbpair", "recovery_rate": 0.0, "j_per_frame": 0.010},
-      {"name": "ge/fec/k4m2", "recovery_rate": 0.7, "j_per_frame": 0.011}]})";
-  // ge/fec/k4m2 vanished (failure); ge/hybrid/k4m4 is new (warn-only, so
-  // a freshly added operating point cannot fail CI before its baseline
-  // row is committed).
-  const char* current_text = R"({"fec_rows": [
-      {"name": "ge/pbpair", "recovery_rate": 0.0, "j_per_frame": 0.010},
-      {"name": "ge/hybrid/k4m4", "recovery_rate": 0.9, "j_per_frame": 0.012}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::FecComparison result =
-      obs::compare_fec_reports(baseline, current, 0.25);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_rows.size(), 1u);
-  EXPECT_EQ(result.missing_rows[0], "ge/fec/k4m2");
-  ASSERT_EQ(result.unknown_rows.size(), 1u);
-  EXPECT_EQ(result.unknown_rows[0], "ge/hybrid/k4m4");
-
-  // With the missing row restored, the unknown row alone stays green.
-  obs::FecComparison unknown_only =
-      obs::compare_fec_reports(current, current, 0.25);
-  EXPECT_TRUE(unknown_only.ok());
-}
-
-TEST(BenchCompare, ObsGatesNsPerOpAndOverheadRatioRelative) {
-  const char* baseline_text = R"({"obs_rows": [
-      {"name": "bump/t8", "ns_per_op": 10.0, "mops_per_s": 100.0},
-      {"name": "pipeline/t2", "overhead_ratio": 1.05, "off_ms": 200.0}]})";
-  // bump/t8 ns_per_op grew +80% (regression at 0.5); pipeline/t2's ratio
-  // improved, which must never fail.
-  const char* current_text = R"({"obs_rows": [
-      {"name": "bump/t8", "ns_per_op": 18.0, "mops_per_s": 55.0},
-      {"name": "pipeline/t2", "overhead_ratio": 1.01, "off_ms": 900.0}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::ObsComparison result =
-      obs::compare_obs_reports(baseline, current, 0.5);
-  EXPECT_FALSE(result.ok());
-  // Only the gated fields compare: mops_per_s and off_ms never produce
-  // deltas, so one row contributes at most two.
-  ASSERT_EQ(result.deltas.size(), 2u);
-  int regressions = 0;
-  for (const obs::ObsDelta& d : result.deltas) {
-    if (!d.regression) continue;
-    ++regressions;
-    EXPECT_EQ(d.row, "bump/t8");
-    EXPECT_EQ(d.field, "ns_per_op");
-  }
-  EXPECT_EQ(regressions, 1);
-
-  // A generous threshold accepts the same pair.
-  EXPECT_TRUE(obs::compare_obs_reports(baseline, current, 1.0).ok());
-}
-
-TEST(BenchCompare, ObsMissingRowFailsUnknownRowOnlyWarns) {
-  const char* baseline_text = R"({"obs_rows": [
-      {"name": "bump/t1", "ns_per_op": 10.0},
-      {"name": "bump/t8", "ns_per_op": 12.0}]})";
-  const char* current_text = R"({"obs_rows": [
-      {"name": "bump/t1", "ns_per_op": 10.0},
-      {"name": "pipeline/t1", "overhead_ratio": 1.02}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::ObsComparison result =
-      obs::compare_obs_reports(baseline, current, 0.5);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_rows.size(), 1u);
-  EXPECT_EQ(result.missing_rows[0], "bump/t8");
-  ASSERT_EQ(result.unknown_rows.size(), 1u);
-  EXPECT_EQ(result.unknown_rows[0], "pipeline/t1");
-  EXPECT_TRUE(obs::compare_obs_reports(current, current, 0.5).ok());
-}
-
-TEST(BenchCompare, SessionsGatesThroughputFloorAndLatencyCeiling) {
-  const char* baseline_text = R"({"sessions_rows": [
-      {"name": "n8", "sessions_per_sec": 100.0, "frames_per_sec": 2400.0,
-       "p50_frame_ms": 2.1, "p99_frame_ms": 4.2},
-      {"name": "n256", "sessions_per_sec": 50.0, "frames_per_sec": 600.0,
-       "p50_frame_ms": 2.1, "p99_frame_ms": 4.2}]})";
-  // n8's throughput collapsed to 40/s (floor breach at threshold 1.0:
-  // 100 > 40 * 2) while its p99 improved; n256's p99 tripled (ceiling
-  // breach: 12.6 > 4.2 * 2) while its throughput improved. Improvements
-  // must never fail, breaches must.
-  const char* current_text = R"({"sessions_rows": [
-      {"name": "n8", "sessions_per_sec": 40.0, "frames_per_sec": 960.0,
-       "p50_frame_ms": 1.0, "p99_frame_ms": 2.1},
-      {"name": "n256", "sessions_per_sec": 120.0, "frames_per_sec": 1400.0,
-       "p50_frame_ms": 2.1, "p99_frame_ms": 12.6}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::SessionsComparison result =
-      obs::compare_sessions_reports(baseline, current, 1.0);
-  EXPECT_FALSE(result.ok());
-  // Only sessions_per_sec and p99_frame_ms gate: two rows, four deltas.
-  ASSERT_EQ(result.deltas.size(), 4u);
-  int regressions = 0;
-  for (const obs::SessionsDelta& d : result.deltas) {
-    if (!d.regression) continue;
-    ++regressions;
-    if (d.row == "n8") {
-      EXPECT_EQ(d.field, "sessions_per_sec");
-    } else {
-      EXPECT_EQ(d.row, "n256");
-      EXPECT_EQ(d.field, "p99_frame_ms");
-    }
-  }
-  EXPECT_EQ(regressions, 2);
-
-  // A threshold wide enough for both movements accepts the same pair.
-  EXPECT_TRUE(obs::compare_sessions_reports(baseline, current, 2.5).ok());
-  // Identity always passes.
-  EXPECT_TRUE(obs::compare_sessions_reports(baseline, baseline, 1.0).ok());
-}
-
-TEST(BenchCompare, SessionsMissingRowFailsUnknownRowOnlyWarns) {
-  const char* baseline_text = R"({"sessions_rows": [
-      {"name": "n8", "sessions_per_sec": 100.0, "p99_frame_ms": 4.2},
-      {"name": "n10000", "sessions_per_sec": 30.0, "p99_frame_ms": 8.4}]})";
-  // The 10k point vanished (a capacity regression could hide there: FAIL)
-  // and a new 1k point appeared (no baseline yet: warn only).
-  const char* current_text = R"({"sessions_rows": [
-      {"name": "n8", "sessions_per_sec": 100.0, "p99_frame_ms": 4.2},
-      {"name": "n1024", "sessions_per_sec": 45.0, "p99_frame_ms": 4.2}]})";
-  common::JsonValue baseline, current;
-  ASSERT_TRUE(common::JsonValue::parse(baseline_text, &baseline));
-  ASSERT_TRUE(common::JsonValue::parse(current_text, &current));
-
-  obs::SessionsComparison result =
-      obs::compare_sessions_reports(baseline, current, 1.0);
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_rows.size(), 1u);
-  EXPECT_EQ(result.missing_rows[0], "n10000");
-  ASSERT_EQ(result.unknown_rows.size(), 1u);
-  EXPECT_EQ(result.unknown_rows[0], "n1024");
-  EXPECT_TRUE(obs::compare_sessions_reports(current, current, 1.0).ok());
 }
 
 TEST(Json, ParserHandlesCoreGrammarAndRejectsGarbage) {

@@ -1,31 +1,17 @@
-// check_bench_regression — CI gate over BENCH_*.json reports.
+// check_bench_regression — CI gate over the committed BENCH_*.json reports.
 //
-//   check_bench_regression --baseline BENCH_kernels.json
-//                          --current build/BENCH_kernels.json
-//                          [--threshold 0.25] [--mode kernels|fec|wire]
+//   check_bench_regression --baseline-dir . --current-dir bench-artifacts
 //
-// Mode "kernels" (default) diffs per-kernel ns/call numbers and exits 1
-// when any grew by more than the threshold (default +25%) or a baseline
-// kernel vanished from the current report. Mode "fec" diffs the
-// BENCH_fec.json trade-off matrix row by row: recovery_rate may not fall
-// more than the threshold ABSOLUTE below the baseline, j_per_frame may
-// not grow more than the threshold RELATIVE above it, and a vanished row
-// fails while a row with no committed baseline only warns. Mode "wire"
-// diffs BENCH_wire.json the same way: copy_reduction may not fall more
-// than the threshold ABSOLUTE below the baseline (packets_per_s is
-// wall-clock and never gated). Mode "obs" diffs BENCH_obs.json: the
-// bump/* rows' ns_per_op and the pipeline/* rows' overhead_ratio may not
-// grow more than the threshold RELATIVE above the baseline (both are
-// wall-clock, so CI uses a generous threshold). Mode "sessions" diffs
-// BENCH_sessions.json scaling-curve rows: sessions_per_sec may not fall
-// below current * (1 + threshold) under the baseline (throughput floor)
-// and p99_frame_ms may not grow more than the threshold RELATIVE above
-// it (latency ceiling; the p99 comes from log2-bucket histograms, so CI
-// gates with threshold >= 1.0 to allow one power-of-two bucket jump).
-// Exit 2 = usage/parse error.
-// Better-than-baseline results are reported but never fail — baselines
-// are refreshed by re-running the bench and committing the new file.
+// Loads every report obs::bench_gates() names from both directories and
+// applies the whole gate table in one call, printing one line per
+// (report, row, field). Exit 0 = pass (warnings allowed); 1 = a gated
+// field got worse than its tolerance, a baseline row or named field
+// vanished, or a gated report is missing from either directory; 2 = usage
+// or parse error, including any flag this tool does not take.
+// Better-than-baseline results never fail — baselines are refreshed by
+// re-running the bench and committing the new file.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "common/args.h"
@@ -35,235 +21,73 @@
 
 using namespace pbpair;
 
+namespace {
+
+// Parses every gated report present in `dir`; an absent file is left out
+// for compare_reports to fail, an unreadable or malformed one is an error.
+bool load_reports(const std::string& dir, obs::ReportSet* out) {
+  for (const obs::Gate& gate : obs::bench_gates()) {
+    const std::string path = dir + "/" + gate.report;
+    if (out->count(gate.report) != 0 || !std::filesystem::exists(path)) {
+      continue;
+    }
+    std::string error;
+    if (!common::parse_json_file(path, &(*out)[gate.report], &error)) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   common::ArgParser args(argc, argv);
-  const std::string baseline_path = args.get("baseline");
-  const std::string current_path = args.get("current");
-  const double threshold = args.get_double("threshold", 0.25);
-  const std::string mode = args.get("mode", "kernels");
-  if (baseline_path.empty() || current_path.empty() || threshold < 0.0 ||
-      (mode != "kernels" && mode != "fec" && mode != "wire" &&
-       mode != "obs" && mode != "sessions")) {
-    std::fprintf(
-        stderr,
-        "usage: check_bench_regression --baseline FILE --current "
-        "FILE [--threshold 0.25] [--mode kernels|fec|wire|obs|sessions]\n");
+  const std::string baseline_dir = args.get("baseline-dir");
+  const std::string current_dir = args.get("current-dir");
+  bool usage_ok = !baseline_dir.empty() && !current_dir.empty() &&
+                  args.positional().empty();
+  for (const std::string& flag : args.unknown_flags()) {
+    std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+    usage_ok = false;
+  }
+  if (!usage_ok) {
+    std::fprintf(stderr, "usage: check_bench_regression --baseline-dir DIR "
+                         "--current-dir DIR\n");
     return 2;
   }
 
-  common::JsonValue baseline, current;
-  std::string error;
-  if (!common::parse_json_file(baseline_path, &baseline, &error)) {
-    std::fprintf(stderr, "baseline %s: %s\n", baseline_path.c_str(),
-                 error.c_str());
+  obs::ReportSet baseline, current;
+  if (!load_reports(baseline_dir, &baseline) ||
+      !load_reports(current_dir, &current)) {
     return 2;
   }
-  if (!common::parse_json_file(current_path, &current, &error)) {
-    std::fprintf(stderr, "current %s: %s\n", current_path.c_str(),
-                 error.c_str());
-    return 2;
-  }
+  const std::vector<obs::GateVerdict> verdicts =
+      obs::compare_reports(baseline, current, obs::bench_gates());
 
-  if (mode == "fec") {
-    obs::FecComparison comparison =
-        obs::compare_fec_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable fec_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::FecDelta& d : comparison.deltas) {
-      const bool relative = d.field == "j_per_frame";
-      table.add_row(
-          {d.row, d.field, sim::format("%.4f", d.baseline),
-           sim::format("%.4f", d.current),
-           relative ? sim::format("%+.1f%%", d.baseline > 0.0
-                                                 ? (d.current / d.baseline -
-                                                    1.0) * 100.0
-                                                 : 0.0)
-                    : sim::format("%+.3f", d.current - d.baseline),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: FEC recovery_rate / J-per-frame regression beyond "
-                  "threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all FEC rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "wire") {
-    obs::WireComparison comparison =
-        obs::compare_wire_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable wire_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::WireDelta& d : comparison.deltas) {
-      table.add_row({d.row, d.field, sim::format("%.4f", d.baseline),
-                     sim::format("%.4f", d.current),
-                     sim::format("%+.3f", d.current - d.baseline),
-                     d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: copy_reduction regression beyond threshold %.2f "
-                  "(or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all wire rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "obs") {
-    obs::ObsComparison comparison =
-        obs::compare_obs_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable obs_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::ObsDelta& d : comparison.deltas) {
-      table.add_row(
-          {d.row, d.field, sim::format("%.4f", d.baseline),
-           sim::format("%.4f", d.current),
-           sim::format("%+.1f%%", d.baseline > 0.0
-                                      ? (d.current / d.baseline - 1.0) * 100.0
-                                      : 0.0),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: obs ns_per_op / overhead_ratio regression beyond "
-                  "threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf("OK: all obs rows within threshold %.2f of the baseline\n",
-                threshold);
-    return 0;
-  }
-
-  if (mode == "sessions") {
-    obs::SessionsComparison comparison =
-        obs::compare_sessions_reports(baseline, current, threshold);
-    if (comparison.deltas.empty() && comparison.missing_rows.empty()) {
-      std::fprintf(stderr, "no comparable sessions_rows found in %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    sim::Table table(
-        {"row", "field", "baseline", "current", "delta", "verdict"});
-    for (const obs::SessionsDelta& d : comparison.deltas) {
-      table.add_row(
-          {d.row, d.field, sim::format("%.3f", d.baseline),
-           sim::format("%.3f", d.current),
-           sim::format("%+.1f%%", d.baseline > 0.0
-                                      ? (d.current / d.baseline - 1.0) * 100.0
-                                      : 0.0),
-           d.regression ? "REGRESSION" : "ok"});
-    }
-    table.print();
-    for (const std::string& name : comparison.missing_rows) {
-      std::printf("MISSING: row \"%s\" is in the baseline but not in the "
-                  "current report\n",
-                  name.c_str());
-    }
-    for (const std::string& name : comparison.unknown_rows) {
-      std::printf("WARNING: row \"%s\" has no baseline yet (measured but "
-                  "not gated; refresh %s to start gating it)\n",
-                  name.c_str(), baseline_path.c_str());
-    }
-    if (!comparison.ok()) {
-      std::printf("FAIL: sessions/sec floor or p99 frame-latency ceiling "
-                  "breached beyond threshold %.2f (or missing row) vs %s\n",
-                  threshold, baseline_path.c_str());
-      return 1;
-    }
-    std::printf(
-        "OK: all sessions rows within threshold %.2f of the baseline\n",
-        threshold);
-    return 0;
-  }
-
-  obs::BenchComparison comparison =
-      obs::compare_bench_reports(baseline, current, threshold);
-  if (comparison.deltas.empty() && comparison.missing_kernels.empty()) {
-    std::fprintf(stderr, "no comparable kernels found in %s\n",
-                 baseline_path.c_str());
-    return 2;
-  }
-
-  sim::Table table({"kernel", "field", "baseline_ns", "current_ns", "ratio",
-                    "verdict"});
-  for (const obs::BenchDelta& d : comparison.deltas) {
-    table.add_row({d.kernel, d.field, sim::format("%.2f", d.baseline_ns),
-                   sim::format("%.2f", d.current_ns),
-                   sim::format("%.3fx", d.ratio()),
-                   d.regression ? "REGRESSION" : "ok"});
+  sim::Table table(
+      {"report", "row", "field", "baseline", "current", "limit", "verdict"});
+  const char* const kStatus[] = {"ok", "warn", "FAIL"};  // by Status value
+  int counts[3] = {};
+  auto number = [](bool shown, double x) {
+    return shown ? sim::format("%.6g", x) : std::string("-");
+  };
+  for (const obs::GateVerdict& v : verdicts) {
+    const int status = static_cast<int>(v.status);
+    ++counts[status];
+    const bool compared = v.note.empty();
+    table.add_row({v.report, v.row.empty() ? "-" : v.row,
+                   v.field.empty() ? "-" : v.field,
+                   number(!v.field.empty(), v.baseline),
+                   number(compared, v.current), number(compared, v.limit),
+                   compared ? kStatus[status]
+                            : std::string(kStatus[status]) + ": " + v.note});
   }
   table.print();
-  for (const std::string& name : comparison.missing_kernels) {
-    std::printf("MISSING: kernel \"%s\" is in the baseline but not in the "
-                "current report\n",
-                name.c_str());
-  }
-  for (const std::string& name : comparison.unknown_kernels) {
-    std::printf("WARNING: kernel \"%s\" has no baseline row yet (measured "
-                "but not gated; refresh %s to start gating it)\n",
-                name.c_str(), baseline_path.c_str());
-  }
-
-  if (!comparison.ok()) {
-    std::printf("FAIL: ns/call regression beyond +%.0f%% (or missing "
-                "kernel) vs %s\n",
-                threshold * 100.0, baseline_path.c_str());
-    return 1;
-  }
-  std::printf("OK: all kernels within +%.0f%% of the baseline\n",
-              threshold * 100.0);
-  return 0;
+  const bool pass = obs::gates_pass(verdicts);
+  std::printf("%s: %d failed, %d warned of %zu verdicts vs %s\n",
+              pass ? "OK" : "FAIL", counts[2], counts[1], verdicts.size(),
+              baseline_dir.c_str());
+  return pass ? 0 : 1;
 }
