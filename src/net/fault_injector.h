@@ -4,8 +4,8 @@
 // also deliver damaged ones — flipped bits, truncated payloads, corrupted
 // headers, duplicates, and reordered bursts. FaultInjector models that
 // damage as a seeded, composable channel stage: it sits between the lossy
-// channel and the depacketizer (StreamSession inserts it after "transmit"
-// when PipelineConfig::faults is set) and rewrites the delivered packet
+// channel and the depacketizer (StreamSession runs it after transmit when
+// PipelineConfig::faults is set) and rewrites the delivered packet
 // vector at the WIRE level — each fault serializes the packet, damages the
 // bytes, and re-parses them, so a corruption that breaks the RTP framing
 // drops the packet exactly like a real receiver would.

@@ -82,34 +82,34 @@ struct PipelineConfig {
   std::optional<obs::HealthConfig> health;
 
   /// Adversarial byte damage (net/fault_injector.h). When set with any
-  /// probability > 0, the session inserts an "inject_faults" stage after
-  /// "transmit" that bit-flips / truncates / corrupts / duplicates /
+  /// probability > 0, the session runs the inject_faults stage after
+  /// transmit, which bit-flips / truncates / corrupts / duplicates /
   /// reorders the delivered packets deterministically from faults->seed.
   /// Unset (or all-zero) leaves the pipeline untouched — reports stay
   /// byte-identical to a build without the injector.
   std::optional<net::FaultInjectorConfig> faults;
 
   /// Packet-level forward error correction (net/fec.h). When set with
-  /// m > 0, the session inserts a "fec_encode" stage after "packetize"
-  /// (appends repair packets per window of k media packets) and a
-  /// "fec_decode" stage before "depacketize" (consumes surviving repair
+  /// m > 0, the session runs the fec_encode stage after packetize
+  /// (appends repair packets per window of k media packets) and the
+  /// fec_decode stage before depacketize (consumes surviving repair
   /// packets, reconstructs missing media, splices it back in by sequence).
   /// Repair packets traverse the channel and the fault injector like any
   /// other wire bytes, so their transmit energy and their exposure to
-  /// hostile damage are both real. Unset (or m == 0) leaves the stage
-  /// list — and every output byte — identical to a FEC-free build
+  /// hostile damage are both real. Unset (or m == 0) runs neither stage
+  /// and leaves every output byte identical to a FEC-free build
   /// (tests/test_fec.cpp asserts this at 1, 2 and 8 threads).
   std::optional<net::FecConfig> fec;
 
   /// Wire-format integrity (net/packet.h). When set with crc on, every
   /// outgoing packet carries a CRC64 trailer (the packetizer spends
-  /// kCrcTrailerSize of each MTU on it), and the session inserts a
-  /// "verify_integrity" stage after the channel/fault stages and BEFORE
+  /// kCrcTrailerSize of each MTU on it), and the session runs the
+  /// verify_integrity stage after the channel/fault stages and BEFORE
   /// fec_decode: packets whose trailer is missing or mismatched are
   /// dropped as CORRUPTED (net.crc.corrupted) — they become erasures FEC
   /// can repair, instead of garbage the decoder conceals — and the
   /// corrupted-vs-lost split rides the RTCP corruption extension back to
-  /// the sender. Unset (or crc off) leaves the stage list and every
+  /// the sender. Unset (or crc off) skips the stage and leaves every
   /// output byte identical to a build without wire framing
   /// (tests/test_wire.cpp asserts this at 1, 2 and 8 threads).
   std::optional<net::WireConfig> wire;
@@ -171,10 +171,10 @@ using FrameSource = std::function<video::YuvFrame(int)>;
 /// Runs the full pipeline. `loss` may be null (lossless channel).
 ///
 /// This is a thin shim over sim::StreamSession (sim/session.h): it builds
-/// one session with the default stage list, steps it to completion, and
-/// returns the result — byte-identical (bitstream, report, joules) to the
-/// pre-session monolithic loop, which tests/test_session.cpp asserts
-/// against a hand-rolled reference loop.
+/// one session, steps it to completion, and returns the result —
+/// byte-identical (bitstream, report, joules) to the pre-session
+/// monolithic loop, which tests/test_session.cpp asserts against a
+/// hand-rolled reference loop.
 PipelineResult run_pipeline(const FrameSource& source,
                             const SchemeSpec& scheme, net::LossModel* loss,
                             const PipelineConfig& config);

@@ -131,15 +131,30 @@ void StreamSession::init() {
   encoder_ = std::make_unique<codec::Encoder>(config_.encoder, policy_.get());
   decoder_ = std::make_unique<codec::Decoder>(codec::DecoderConfig{
       config_.encoder.width, config_.encoder.height, config_.concealment});
+  crc_on_ = config_.wire.has_value() && config_.wire->enabled();
   // One arena per session: payload refs never cross sessions, so the
   // SessionManager's threads never contend on each other's slabs.
-  const bool crc_on = config_.wire.has_value() && config_.wire->enabled();
   arena_ = std::make_unique<net::BufferArena>();
   net::PacketizerConfig packetizer_config = config_.packetizer;
-  packetizer_config.crc = crc_on;
+  packetizer_config.crc = crc_on_;
   packetizer_ =
       std::make_unique<net::Packetizer>(packetizer_config, arena_.get());
   if (config_.rate_control.has_value()) rate_.emplace(*config_.rate_control);
+
+  // The optional stages run only when these exist (verify_integrity: when
+  // crc_on_). With config_.fec, config_.faults and config_.wire unset (or
+  // disabled) the session is byte-identical to a build without FEC,
+  // faults or framing.
+  if (config_.fec.has_value() && config_.fec->enabled()) {
+    fec_encoder_ =
+        std::make_unique<net::FecEncoder>(*config_.fec, arena_.get());
+    fec_decoder_ = std::make_unique<net::FecDecoder>(arena_.get(), crc_on_);
+  }
+  if (config_.faults.has_value() && config_.faults->enabled()) {
+    net::FaultInjectorConfig faults_config = *config_.faults;
+    faults_config.expect_crc = crc_on_;  // parse-side only: same RNG draws
+    fault_injector_ = std::make_unique<net::FaultInjector>(faults_config);
+  }
 
   if (config_.on_feedback) {
     plr_estimator_ = std::make_unique<net::PlrEstimator>();
@@ -160,165 +175,6 @@ void StreamSession::init() {
     PB_CHECK(frame_trace_out_->is_open());
     write_frame_trace_header();
   }
-
-  // The default Fig. 1 stage list. Lambdas take the session as a
-  // parameter (no `this` capture) so sessions stay movable.
-  stages_.push_back(
-      {"encode", [](FrameContext& ctx, StreamSession& s) {
-         {
-           obs::ScopedSpan span("pipeline.encode", ctx.index, "frame");
-           ctx.encoded = s.encoder_->encode_frame(ctx.original);
-         }
-         if (s.rate_) {
-           s.rate_->on_frame_encoded(
-               ctx.encoded.size_bytes(),
-               ctx.encoded.type == codec::FrameType::kIntra);
-         }
-       }});
-  stages_.push_back({"packetize", [](FrameContext& ctx, StreamSession& s) {
-                       ctx.packets = s.packetizer_->packetize(ctx.encoded);
-                     }});
-  // FEC protection sits between the packetizer and the channel, so repair
-  // packets ride the same lossy wire (and the same transmit-energy meter)
-  // as the media they protect. With config_.fec unset or m == 0 neither
-  // stage exists and the session is byte-identical to a FEC-free build.
-  if (config_.fec.has_value() && config_.fec->enabled()) {
-    fec_encoder_ =
-        std::make_unique<net::FecEncoder>(*config_.fec, arena_.get());
-    fec_decoder_ = std::make_unique<net::FecDecoder>(arena_.get(), crc_on);
-    stages_.push_back({"fec_encode", [](FrameContext& ctx, StreamSession& s) {
-                         ctx.media_packets_sent =
-                             static_cast<int>(ctx.packets.size());
-                         ctx.trace.fec_repair_sent =
-                             s.fec_encoder_->protect(&ctx.packets);
-                       }});
-  }
-  stages_.push_back({"transmit", [](FrameContext& ctx, StreamSession& s) {
-                       obs::ScopedSpan span("pipeline.transmit", ctx.index,
-                                            "frame");
-                       ctx.delivered = s.channel_->transmit(ctx.packets);
-                     }});
-  // Adversarial byte damage rides between the loss model and the
-  // depacketizer, exactly where a hostile network sits. Only built when
-  // asked for: with config_.faults unset the stage list — and therefore
-  // every output byte — is identical to a faultless build.
-  if (config_.faults.has_value() && config_.faults->enabled()) {
-    net::FaultInjectorConfig faults_config = *config_.faults;
-    faults_config.expect_crc = crc_on;  // parse-side only: same RNG draws
-    fault_injector_ = std::make_unique<net::FaultInjector>(faults_config);
-    stages_.push_back(
-        {"inject_faults", [](FrameContext& ctx, StreamSession& s) {
-           ctx.delivered = s.fault_injector_->apply(std::move(ctx.delivered));
-         }});
-  }
-  // CRC verification sits where the receiver first trusts the bytes:
-  // after every source of wire damage (channel, fault injector), BEFORE
-  // fec_decode — a corrupted packet must become an ERASURE the FEC can
-  // repair, never a poisoned equation in its solve. Off (the default)
-  // the stage does not exist and the session is byte-identical to a
-  // build without wire framing.
-  if (crc_on) {
-    stages_.push_back(
-        {"verify_integrity", [](FrameContext& ctx, StreamSession& s) {
-           std::vector<net::Packet> kept;
-           kept.reserve(ctx.delivered.size());
-           for (net::Packet& packet : ctx.delivered) {
-             s.wire_stats_.packets_checked += 1;
-             if (packet.crc_present && packet.crc_ok) {
-               kept.push_back(std::move(packet));
-               continue;
-             }
-             s.wire_stats_.crc_corrupted += 1;
-             s.crc_corrupted_interval_ += 1;
-             ctx.trace.crc_corrupted += 1;
-           }
-           if (obs::enabled()) {
-             static obs::Counter* c_ok = &obs::counter("net.crc.ok");
-             static obs::Counter* c_bad = &obs::counter("net.crc.corrupted");
-             c_ok->add(kept.size());
-             c_bad->add(ctx.delivered.size() - kept.size());
-           }
-           ctx.delivered = std::move(kept);
-         }});
-  }
-  if (fec_decoder_ != nullptr) {
-    stages_.push_back(
-        {"fec_decode", [](FrameContext& ctx, StreamSession& s) {
-           const net::FecDecoderStats before = s.fec_decoder_->stats();
-           ctx.delivered = s.fec_decoder_->process(std::move(ctx.delivered));
-           const net::FecDecoderStats& after = s.fec_decoder_->stats();
-           ctx.trace.fec_recovered = static_cast<int>(
-               after.packets_recovered - before.packets_recovered);
-           ctx.trace.fec_unrecoverable_windows = static_cast<int>(
-               after.windows_unrecoverable - before.windows_unrecoverable);
-         }});
-  }
-  stages_.push_back({"depacketize", [](FrameContext& ctx, StreamSession&) {
-                       ctx.received =
-                           net::depacketize(ctx.delivered, ctx.index);
-                     }});
-  stages_.push_back({"decode", [](FrameContext& ctx, StreamSession& s) {
-                       obs::ScopedSpan span("pipeline.decode", ctx.index,
-                                            "frame");
-                       ctx.output = &s.decoder_->decode_frame(ctx.received);
-                     }});
-  stages_.push_back(
-      {"measure", [](FrameContext& ctx, StreamSession& s) {
-         FrameTrace& trace = ctx.trace;
-         trace.index = ctx.index;
-         trace.qp = ctx.encoded.qp;
-         trace.type = ctx.encoded.type;
-         trace.bytes = ctx.encoded.size_bytes();
-         trace.intra_mbs = ctx.encoded.intra_mb_count();
-         for (const codec::MbEncodeRecord& record : ctx.encoded.mb_records) {
-           if (record.pre_me_intra) ++trace.pre_me_intra_mbs;
-         }
-         trace.packets_sent = static_cast<int>(ctx.packets.size());
-         trace.packets_delivered = static_cast<int>(ctx.delivered.size());
-         // With FEC stages, `delivered` holds the post-recovery media
-         // stream (repair consumed, reconstructions spliced in): a frame
-         // is lost only if a media packet is STILL missing. Without them,
-         // media_packets_sent is -1 and this is the historical formula.
-         const std::size_t media_sent =
-             ctx.media_packets_sent >= 0
-                 ? static_cast<std::size_t>(ctx.media_packets_sent)
-                 : ctx.packets.size();
-         trace.lost = ctx.delivered.size() != media_sent;
-         trace.psnr_db = video::psnr_luma(ctx.original, *ctx.output);
-         trace.bad_pixels = video::bad_pixel_count(
-             ctx.original, *ctx.output, s.config_.bad_pixel_threshold);
-       }});
-}
-
-std::size_t StreamSession::stage_index(const std::string& name) const {
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (stages_[i].name == name) return i;
-  }
-  PB_CHECK(false && "unknown stage name");
-  return stages_.size();
-}
-
-void StreamSession::insert_stage_before(const std::string& name,
-                                        FrameStage stage) {
-  stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(
-                                       stage_index(name)),
-                 std::move(stage));
-}
-
-void StreamSession::insert_stage_after(const std::string& name,
-                                       FrameStage stage) {
-  stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(
-                                       stage_index(name) + 1),
-                 std::move(stage));
-}
-
-void StreamSession::replace_stage(const std::string& name, FrameStage stage) {
-  stages_[stage_index(name)] = std::move(stage);
-}
-
-void StreamSession::remove_stage(const std::string& name) {
-  stages_.erase(stages_.begin() +
-                static_cast<std::ptrdiff_t>(stage_index(name)));
 }
 
 void StreamSession::write_frame_trace_header() {
@@ -328,12 +184,12 @@ void StreamSession::write_frame_trace_header() {
       << ",\"width\":" << config_.encoder.width
       << ",\"height\":" << config_.encoder.height
       << ",\"frames\":" << config_.frames;
-  if (config_.fec.has_value() && config_.fec->enabled()) {
+  if (fec_encoder_ != nullptr) {
     out << ",\"fec\":{\"scheme\":"
         << static_cast<int>(config_.fec->scheme)
         << ",\"k\":" << config_.fec->k << ",\"m\":" << config_.fec->m << "}";
   }
-  if (config_.wire.has_value() && config_.wire->enabled()) {
+  if (crc_on_) {
     out << ",\"wire\":{\"crc\":true}";
   }
   out << "}}\n";
@@ -349,17 +205,76 @@ void StreamSession::deliver_due_feedback(int frame) {
   }
 }
 
-void StreamSession::observe_delivery(const FrameContext& ctx) {
-  for (const net::Packet& packet : ctx.delivered) {
+void StreamSession::verify_integrity() {
+  // The receiver first trusts the bytes here: after every source of wire
+  // damage, and BEFORE fec_decode, so a corrupted packet becomes an
+  // ERASURE the FEC can repair, never a poisoned equation in its solve.
+  std::vector<net::Packet> kept;
+  kept.reserve(frame_.delivered.size());
+  for (net::Packet& packet : frame_.delivered) {
+    wire_stats_.packets_checked += 1;
+    if (packet.crc_present && packet.crc_ok) {
+      kept.push_back(std::move(packet));
+      continue;
+    }
+    wire_stats_.crc_corrupted += 1;
+    crc_corrupted_interval_ += 1;
+    frame_.trace.crc_corrupted += 1;
+  }
+  if (obs::enabled()) {
+    static obs::Counter* c_ok = &obs::counter("net.crc.ok");
+    static obs::Counter* c_bad = &obs::counter("net.crc.corrupted");
+    c_ok->add(kept.size());
+    c_bad->add(frame_.delivered.size() - kept.size());
+  }
+  frame_.delivered = std::move(kept);
+}
+
+void StreamSession::fec_decode() {
+  const net::FecDecoderStats before = fec_decoder_->stats();
+  frame_.delivered = fec_decoder_->process(std::move(frame_.delivered));
+  const net::FecDecoderStats& after = fec_decoder_->stats();
+  FrameTrace& trace = frame_.trace;
+  trace.fec_recovered = static_cast<int>(after.packets_recovered -
+                                         before.packets_recovered);
+  trace.fec_unrecoverable_windows = static_cast<int>(
+      after.windows_unrecoverable - before.windows_unrecoverable);
+}
+
+void StreamSession::measure() {
+  FrameContext& f = frame_;
+  FrameTrace& trace = f.trace;
+  trace.index = f.index;
+  trace.qp = f.encoded.qp;
+  trace.type = f.encoded.type;
+  trace.bytes = f.encoded.size_bytes();
+  trace.intra_mbs = f.encoded.intra_mb_count();
+  for (const codec::MbEncodeRecord& record : f.encoded.mb_records) {
+    if (record.pre_me_intra) ++trace.pre_me_intra_mbs;
+  }
+  trace.packets_sent = static_cast<int>(f.packets.size());
+  trace.packets_delivered = static_cast<int>(f.delivered.size());
+  // `delivered` is the media stream after FEC recovery (repair consumed,
+  // reconstructions spliced in), so a frame is lost only if a MEDIA packet
+  // is still missing. Without FEC, fec_repair_sent is 0.
+  trace.lost =
+      trace.packets_delivered != trace.packets_sent - trace.fec_repair_sent;
+  trace.psnr_db = video::psnr_luma(f.original, *f.output);
+  trace.bad_pixels = video::bad_pixel_count(f.original, *f.output,
+                                            config_.bad_pixel_threshold);
+}
+
+void StreamSession::observe_delivery() {
+  for (const net::Packet& packet : frame_.delivered) {
     // The feedback loop reports NETWORK loss: a packet the FEC decoder
     // reconstructed was still lost on the wire, so it must stay invisible
     // here (and repair packets live in their own sequence space). Without
-    // FEC stages neither predicate ever fires.
+    // FEC neither predicate ever fires.
     if (packet.recovered || packet.is_fec_repair()) continue;
     plr_estimator_->on_packet_received(packet.header.sequence);
     highest_sequence_ = packet.header.sequence;
   }
-  if ((ctx.index + 1) % config_.feedback_interval_frames == 0) {
+  if ((frame_.index + 1) % config_.feedback_interval_frames == 0) {
     // CRC-dropped packets are sequence gaps to the estimator, so
     // fraction_lost already covers them; the corruption split tells the
     // sender how much of that loss was verified corruption. Both args
@@ -375,7 +290,7 @@ void StreamSession::observe_delivery(const FrameContext& ctx) {
     net::ReceiverReport parsed;
     PB_CHECK(net::parse_receiver_report(net::serialize_receiver_report(report),
                                         &parsed));
-    feedback_queue_->push(ctx.index, parsed);
+    feedback_queue_->push(frame_.index, parsed);
   }
 }
 
@@ -387,13 +302,46 @@ const FrameTrace& StreamSession::step() {
   if (config_.pre_frame) config_.pre_frame(i, *policy_);
   if (rate_) encoder_->set_qp(rate_->qp());
 
-  FrameContext ctx;
-  ctx.index = i;
-  ctx.original = source_(i);
-  for (const FrameStage& stage : stages_) stage.run(ctx, *this);
+  // Drop the previous frame first, so its packets release their arena refs
+  // before this frame allocates any.
+  frame_ = FrameContext{};
+  FrameContext& f = frame_;
+  f.index = i;
+  f.original = source_(i);
+  {
+    obs::ScopedSpan span("pipeline.encode", i, "frame");
+    f.encoded = encoder_->encode_frame(f.original);
+  }
+  if (rate_) {
+    rate_->on_frame_encoded(f.encoded.size_bytes(),
+                            f.encoded.type == codec::FrameType::kIntra);
+  }
+  f.packets = packetizer_->packetize(f.encoded);
+  // Repair packets ride the same lossy wire (and the same transmit-energy
+  // meter) as the media they protect.
+  if (fec_encoder_ != nullptr) {
+    f.trace.fec_repair_sent = fec_encoder_->protect(&f.packets);
+  }
+  {
+    obs::ScopedSpan span("pipeline.transmit", i, "frame");
+    f.delivered = channel_->transmit(f.packets);
+  }
+  // Byte damage sits between the loss model and the receiver, exactly
+  // where a hostile network sits.
+  if (fault_injector_ != nullptr) {
+    f.delivered = fault_injector_->apply(std::move(f.delivered));
+  }
+  if (crc_on_) verify_integrity();
+  if (fec_decoder_ != nullptr) fec_decode();
+  f.received = net::depacketize(f.delivered, i);
+  {
+    obs::ScopedSpan span("pipeline.decode", i, "frame");
+    f.output = &decoder_->decode_frame(f.received);
+  }
+  measure();
 
-  if (feedback_queue_ != nullptr) observe_delivery(ctx);
-  accumulate(ctx.trace);
+  if (feedback_queue_ != nullptr) observe_delivery();
+  accumulate(f.trace);
   next_frame_ = i + 1;
   return result_.frames.back();
 }
@@ -404,9 +352,8 @@ void StreamSession::accumulate(const FrameTrace& trace) {
   result_.total_bad_pixels += trace.bad_pixels;
   result_.total_intra_mbs += static_cast<std::uint64_t>(trace.intra_mbs);
   if (frame_trace_out_ != nullptr && frame_trace_out_->is_open()) {
-    append_frame_trace_jsonl(
-        *frame_trace_out_, trace, fec_encoder_ != nullptr,
-        config_.wire.has_value() && config_.wire->enabled());
+    append_frame_trace_jsonl(*frame_trace_out_, trace,
+                             fec_encoder_ != nullptr, crc_on_);
   }
   result_.frames.push_back(trace);
   update_telemetry(trace);
@@ -467,7 +414,7 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
       // Present (even at zero) whenever CRC framing is on, so the monitor
       // can show a corrupted column per session; absent when off to keep
       // the metric namespace byte-identical to a pre-CRC build.
-      if (config_.wire.has_value() && config_.wire->enabled()) {
+      if (crc_on_) {
         c_crc_corrupted_ =
             &obs::counter(obs::session_metric(label_, "crc_corrupted"));
       }

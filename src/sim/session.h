@@ -3,13 +3,17 @@
 // StreamSession owns everything one stream of the paper's Fig. 1 pipeline
 // needs — refresh policy, encoder, rate controller, packetizer, channel
 // (with optional owned loss model), decoder, feedback loop, and metrics —
-// and advances exactly one frame per step(). The per-frame work is an
-// ordered list of pluggable FrameStages (encode / packetize / transmit /
-// depacketize / decode / measure), so experiments can insert, replace, or
-// remove stages (taps, noise injection, alternative channels) without
-// touching any loop code. run_pipeline() (sim/pipeline.h) is a thin shim
-// over one session with the default stages and stays byte-identical to the
-// historical monolithic loop.
+// and advances exactly one frame per step() through one fixed stage
+// sequence:
+//
+//   encode -> packetize -> fec_encode -> transmit -> inject_faults
+//   -> verify_integrity -> fec_decode -> depacketize -> decode -> measure
+//
+// init() decides once which optional stages run: fec_encode/fec_decode
+// with PipelineConfig::fec, inject_faults with ::faults, verify_integrity
+// with ::wire. frame() exposes the last stepped frame read-only.
+// run_pipeline() (sim/pipeline.h) is a thin shim over one session and
+// stays byte-identical to the historical monolithic loop.
 //
 // Sessions are self-contained: no shared mutable state between instances
 // (the codec's only process-wide state is the read-only kernel dispatch
@@ -34,36 +38,23 @@ class FlightRecorder;
 
 namespace pbpair::sim {
 
-class StreamSession;
-
-/// Per-frame state threaded through the stage list. Each default stage
-/// fills the fields the next one consumes; inserted stages may read or
-/// rewrite anything (e.g. a corruption stage edits `delivered`).
+/// One frame's state as it crosses the stages: each stage fills the fields
+/// the next one consumes. StreamSession::frame() exposes the last one.
 struct FrameContext {
   int index = 0;
   video::YuvFrame original;              // from the frame source
-  codec::EncodedFrame encoded;           // after "encode"
-  std::vector<net::Packet> packets;      // after "packetize" (+FEC repair)
-  std::vector<net::Packet> delivered;    // after "transmit"
-  /// Media packet count before "fec_encode" appended repair packets;
-  /// -1 when the session has no FEC stages. "measure" uses it so frame
-  /// loss means "a MEDIA packet is still missing after recovery".
-  int media_packets_sent = -1;
-  codec::ReceivedFrame received;         // after "depacketize"
-  const video::YuvFrame* output = nullptr;  // after "decode"
-  FrameTrace trace;                      // filled by "measure"
-};
-
-/// One pipeline stage: a name (for insert/replace addressing) and the work.
-struct FrameStage {
-  std::string name;
-  std::function<void(FrameContext&, StreamSession&)> run;
+  codec::EncodedFrame encoded;           // after encode
+  std::vector<net::Packet> packets;      // after packetize (+FEC repair)
+  std::vector<net::Packet> delivered;    // after transmit .. fec_decode
+  codec::ReceivedFrame received;         // after depacketize
+  const video::YuvFrame* output = nullptr;  // after decode
+  FrameTrace trace;                      // filled by measure
 };
 
 class StreamSession {
  public:
-  /// Builds a session with the default stage list. `loss` is not owned and
-  /// may be null (lossless channel); it must outlive the session.
+  /// Builds a session. `loss` is not owned and may be null (lossless
+  /// channel); it must outlive the session.
   /// `label`, when non-empty, namespaces this session's obs counters as
   /// "session.<label>.*" (obs::session_metric).
   StreamSession(FrameSource source, const SchemeSpec& scheme,
@@ -76,14 +67,19 @@ class StreamSession {
                 std::unique_ptr<net::LossModel> loss,
                 const PipelineConfig& config, std::string label = {});
 
+  // Movable by construction only: move-assigning would destroy the
+  // target's arena while its frame_ still holds refs into it.
   StreamSession(StreamSession&&) = default;
-  StreamSession& operator=(StreamSession&&) = default;
+  StreamSession& operator=(StreamSession&&) = delete;
 
   ~StreamSession();
 
-  /// Advances one frame through the stage list; returns its trace.
+  /// Advances one frame through the stage sequence; returns its trace.
   /// Must not be called once done().
   const FrameTrace& step();
+
+  /// The last stepped frame, valid until the next step().
+  const FrameContext& frame() const { return frame_; }
 
   /// Steps until done().
   void run_to_end();
@@ -96,17 +92,7 @@ class StreamSession {
   /// trace file, if any, is flushed and closed on first call.
   PipelineResult take_result();
 
-  // --- stage composition -------------------------------------------------
-  // Default list: encode, packetize, transmit, depacketize, decode,
-  // measure. Addressing is by name; unknown names PB_CHECK-fail.
-
-  const std::vector<FrameStage>& stages() const { return stages_; }
-  void insert_stage_before(const std::string& name, FrameStage stage);
-  void insert_stage_after(const std::string& name, FrameStage stage);
-  void replace_stage(const std::string& name, FrameStage stage);
-  void remove_stage(const std::string& name);
-
-  // --- component access (stages and experiment hooks use these) ----------
+  // --- component access (experiment hooks use these) ---------------------
   codec::Encoder& encoder() { return *encoder_; }
   codec::Decoder& decoder() { return *decoder_; }
   codec::RefreshPolicy& policy() { return *policy_; }
@@ -119,7 +105,7 @@ class StreamSession {
   net::FecEncoder* fec_encoder() { return fec_encoder_.get(); }
   net::FecDecoder* fec_decoder() { return fec_decoder_.get(); }
   /// Running CRC verification totals (all zero unless config().wire is
-  /// set with crc on — the "verify_integrity" stage is the only writer).
+  /// set with crc on — the verify_integrity stage is the only writer).
   const net::WireStats& wire_stats() const { return wire_stats_; }
   const PipelineConfig& config() const { return config_; }
   const SchemeSpec& scheme() const { return scheme_; }
@@ -127,10 +113,14 @@ class StreamSession {
 
  private:
   void init();
-  std::size_t stage_index(const std::string& name) const;
   void write_frame_trace_header();
   void deliver_due_feedback(int frame);
-  void observe_delivery(const FrameContext& ctx);
+  void observe_delivery();
+  // The stages with more than one call's worth of work; each reads and
+  // writes frame_.
+  void verify_integrity();
+  void fec_decode();
+  void measure();
   void accumulate(const FrameTrace& trace);
   void update_telemetry(const FrameTrace& trace);
 
@@ -163,12 +153,16 @@ class StreamSession {
   std::unique_ptr<net::DelayedFeedback<net::ReceiverReport>> feedback_queue_;
   std::uint16_t highest_sequence_ = 0;
 
-  // CRC verification totals ("verify_integrity" stage); the interval
-  // count resets every receiver report and feeds its corruption split.
+  // CRC framing and the verify_integrity stage (config_.wire, fixed at
+  // init()). The totals feed the result; the interval count resets every
+  // receiver report and feeds its corruption split.
+  bool crc_on_ = false;
   net::WireStats wire_stats_;
   std::uint64_t crc_corrupted_interval_ = 0;
 
-  std::vector<FrameStage> stages_;
+  // The last stepped frame. Its packets hold refs into arena_, which is
+  // declared above it and so outlives it.
+  FrameContext frame_;
   std::unique_ptr<std::ofstream> frame_trace_out_;
 
   // Live telemetry (config_.health / per-session obs counters). The

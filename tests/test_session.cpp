@@ -1,18 +1,22 @@
-// StreamSession: the stage-composable pipeline (DESIGN.md §9).
+// StreamSession: the fixed stage sequence (DESIGN.md §9).
 //
-// The load-bearing test here is ShimMatchesMonolithicReferenceLoop: it
-// re-implements the historical run_pipeline() loop verbatim (encoder ->
-// packetizer -> channel -> depacketize -> decoder -> metrics, no stages)
-// and asserts the session-based shim reproduces it byte-for-byte —
-// bitstream, every report field, and the energy joules — so the whole
-// existing bench/test corpus doubles as a regression harness for the
-// session refactor.
+// The load-bearing tests here are the ShimMatches* tests: they run an
+// independent reference loop (encoder -> packetizer -> channel ->
+// depacketize -> decoder -> metrics, plus FEC, fault injection, CRC
+// verification and the RTCP loop when the config asks for them) and assert
+// the session reproduces it byte-for-byte: bitstream, every report field,
+// and the energy joules. So the whole existing bench/test corpus doubles
+// as a regression harness for the session.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <vector>
 
+#include "core/pbpair_policy.h"
+#include "net/buffer.h"
 #include "net/feedback.h"
 #include "net/loss_model.h"
 #include "sim/pipeline.h"
@@ -34,7 +38,11 @@ core::PbpairConfig pbpair_config(double th, double plr) {
   return c;
 }
 
-// The pre-session pipeline loop, kept as the byte-identity reference.
+// The pre-session pipeline loop, kept as the byte-identity reference. It
+// runs the optional stages in the session's order when the config asks
+// for them: fec_encode after packetize, then transmit, inject_faults,
+// verify_integrity and fec_decode before depacketize, plus the RTCP
+// receiver-report loop around each frame.
 struct ReferenceRun {
   std::vector<std::uint8_t> bitstream;  // all encoded frames concatenated
   PipelineResult result;
@@ -44,6 +52,8 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
                                       const SchemeSpec& scheme,
                                       net::LossModel* loss,
                                       const PipelineConfig& config) {
+  // Declared first so it is destroyed last: packets hold refs into it.
+  net::BufferArena arena;
   const int mb_cols = config.encoder.width / 16;
   const int mb_rows = config.encoder.height / 16;
   std::unique_ptr<codec::RefreshPolicy> policy =
@@ -51,15 +61,42 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
   codec::Encoder encoder(config.encoder, policy.get());
   codec::Decoder decoder(codec::DecoderConfig{
       config.encoder.width, config.encoder.height, config.concealment});
-  net::Packetizer packetizer(config.packetizer);
+  const bool crc_on = config.wire.has_value() && config.wire->enabled();
+  net::PacketizerConfig packetizer_config = config.packetizer;
+  packetizer_config.crc = crc_on;
+  net::Packetizer packetizer(packetizer_config, &arena);
   net::NoLoss no_loss;
   net::Channel channel(loss != nullptr ? loss : &no_loss);
   std::optional<codec::RateController> rate;
   if (config.rate_control.has_value()) rate.emplace(*config.rate_control);
+  std::optional<net::FecEncoder> fec_encoder;
+  std::optional<net::FecDecoder> fec_decoder;
+  if (config.fec.has_value() && config.fec->enabled()) {
+    fec_encoder.emplace(*config.fec, &arena);
+    fec_decoder.emplace(&arena, crc_on);
+  }
+  std::optional<net::FaultInjector> faults;
+  if (config.faults.has_value() && config.faults->enabled()) {
+    net::FaultInjectorConfig faults_config = *config.faults;
+    faults_config.expect_crc = crc_on;
+    faults.emplace(faults_config);
+  }
+  net::PlrEstimator plr_estimator;
+  net::ReceiverReportBuilder report_builder(config.packetizer.ssrc + 1,
+                                            config.packetizer.ssrc);
+  net::DelayedFeedback<net::ReceiverReport> feedback(
+      config.feedback_rtt_frames);
+  std::uint16_t highest_sequence = 0;
+  std::uint64_t crc_corrupted_interval = 0;
 
   ReferenceRun run;
   double psnr_sum = 0.0;
   for (int i = 0; i < config.frames; ++i) {
+    if (config.on_feedback) {
+      for (const net::ReceiverReport& report : feedback.take_due(i)) {
+        config.on_feedback(i, report, *policy);
+      }
+    }
     if (config.pre_frame) config.pre_frame(i, *policy);
     if (rate) encoder.set_qp(rate->qp());
     video::YuvFrame original = seq.frame_at(i);
@@ -70,12 +107,34 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
     }
     run.bitstream.insert(run.bitstream.end(), encoded.bytes.begin(),
                          encoded.bytes.end());
+    FrameTrace trace;
     std::vector<net::Packet> packets = packetizer.packetize(encoded);
+    const std::size_t media_sent = packets.size();
+    if (fec_encoder) trace.fec_repair_sent = fec_encoder->protect(&packets);
     std::vector<net::Packet> delivered = channel.transmit(packets);
+    if (faults) delivered = faults->apply(std::move(delivered));
+    if (crc_on) {
+      auto corrupted = [](const net::Packet& packet) {
+        return !packet.crc_present || !packet.crc_ok;
+      };
+      run.result.wire.packets_checked += delivered.size();
+      const std::size_t dropped = std::erase_if(delivered, corrupted);
+      trace.crc_corrupted = static_cast<int>(dropped);
+      run.result.wire.crc_corrupted += dropped;
+      crc_corrupted_interval += dropped;
+    }
+    if (fec_decoder) {
+      const net::FecDecoderStats before = fec_decoder->stats();
+      delivered = fec_decoder->process(std::move(delivered));
+      const net::FecDecoderStats& after = fec_decoder->stats();
+      trace.fec_recovered = static_cast<int>(after.packets_recovered -
+                                             before.packets_recovered);
+      trace.fec_unrecoverable_windows = static_cast<int>(
+          after.windows_unrecoverable - before.windows_unrecoverable);
+    }
     codec::ReceivedFrame received = net::depacketize(delivered, i);
     const video::YuvFrame& output = decoder.decode_frame(received);
 
-    FrameTrace trace;
     trace.index = i;
     trace.qp = encoded.qp;
     trace.type = encoded.type;
@@ -84,7 +143,9 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
     for (const codec::MbEncodeRecord& record : encoded.mb_records) {
       if (record.pre_me_intra) ++trace.pre_me_intra_mbs;
     }
-    trace.lost = delivered.size() != packets.size();
+    trace.packets_sent = static_cast<int>(packets.size());
+    trace.packets_delivered = static_cast<int>(delivered.size());
+    trace.lost = delivered.size() != media_sent;
     trace.psnr_db = video::psnr_luma(original, output);
     trace.bad_pixels =
         video::bad_pixel_count(original, output, config.bad_pixel_threshold);
@@ -93,6 +154,27 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
     run.result.total_bad_pixels += trace.bad_pixels;
     run.result.total_intra_mbs += static_cast<std::uint64_t>(trace.intra_mbs);
     run.result.frames.push_back(trace);
+
+    if (config.on_feedback) {
+      // Network loss only: FEC reconstructions and repair packets are not
+      // wire arrivals of media sequence numbers.
+      for (const net::Packet& packet : delivered) {
+        if (packet.recovered || packet.is_fec_repair()) continue;
+        plr_estimator.on_packet_received(packet.header.sequence);
+        highest_sequence = packet.header.sequence;
+      }
+      if ((i + 1) % config.feedback_interval_frames == 0) {
+        const net::ReceiverReport report =
+            report_builder.build(plr_estimator, highest_sequence,
+                                 crc_corrupted_interval,
+                                 run.result.wire.crc_corrupted);
+        crc_corrupted_interval = 0;
+        const auto bytes = net::serialize_receiver_report(report);
+        net::ReceiverReport parsed;
+        EXPECT_TRUE(net::parse_receiver_report(bytes, &parsed));
+        feedback.push(i, parsed);
+      }
+    }
   }
   run.result.avg_psnr_db = psnr_sum / config.frames;
   run.result.encoder_ops = encoder.ops();
@@ -101,6 +183,8 @@ ReferenceRun run_monolithic_reference(const video::SyntheticSequence& seq,
   run.result.tx_energy_j =
       energy::tx_energy_j(channel.stats().bytes_sent, *config.profile);
   run.result.concealed_mbs = decoder.concealed_mbs();
+  if (fec_encoder) run.result.fec_encode = fec_encoder->stats();
+  if (fec_decoder) run.result.fec_decode = fec_decoder->stats();
   return run;
 }
 
@@ -128,6 +212,59 @@ void expect_results_identical(const PipelineResult& a,
   }
 }
 
+// expect_results_identical plus every FrameTrace field and the FEC, wire
+// and channel totals that only the optional stages move.
+void expect_every_field_identical(const PipelineResult& a,
+                                  const PipelineResult& b) {
+  expect_results_identical(a, b);
+  EXPECT_EQ(a.channel.bytes_delivered, b.channel.bytes_delivered);
+  EXPECT_EQ(a.fec_encode.windows, b.fec_encode.windows);
+  EXPECT_EQ(a.fec_encode.media_packets, b.fec_encode.media_packets);
+  EXPECT_EQ(a.fec_encode.repair_packets, b.fec_encode.repair_packets);
+  EXPECT_EQ(a.fec_encode.repair_bytes, b.fec_encode.repair_bytes);
+  EXPECT_EQ(a.fec_decode.windows_seen, b.fec_decode.windows_seen);
+  EXPECT_EQ(a.fec_decode.repair_packets_seen, b.fec_decode.repair_packets_seen);
+  EXPECT_EQ(a.fec_decode.repair_packets_invalid,
+            b.fec_decode.repair_packets_invalid);
+  EXPECT_EQ(a.fec_decode.packets_recovered, b.fec_decode.packets_recovered);
+  EXPECT_EQ(a.fec_decode.windows_unrecoverable,
+            b.fec_decode.windows_unrecoverable);
+  EXPECT_EQ(a.fec_decode.recovered_unparseable,
+            b.fec_decode.recovered_unparseable);
+  EXPECT_EQ(a.fec_decode.recovered_crc_failed,
+            b.fec_decode.recovered_crc_failed);
+  EXPECT_EQ(a.wire.packets_checked, b.wire.packets_checked);
+  EXPECT_EQ(a.wire.crc_corrupted, b.wire.crc_corrupted);
+  ASSERT_EQ(a.frames.size(), b.frames.size());
+  for (std::size_t i = 0; i < a.frames.size(); ++i) {
+    const FrameTrace& fa = a.frames[i];
+    const FrameTrace& fb = b.frames[i];
+    EXPECT_EQ(fa.index, fb.index) << "frame " << i;
+    EXPECT_EQ(fa.qp, fb.qp) << "frame " << i;
+    EXPECT_EQ(fa.type, fb.type) << "frame " << i;
+    EXPECT_EQ(fa.pre_me_intra_mbs, fb.pre_me_intra_mbs) << "frame " << i;
+    EXPECT_EQ(fa.packets_sent, fb.packets_sent) << "frame " << i;
+    EXPECT_EQ(fa.packets_delivered, fb.packets_delivered) << "frame " << i;
+    EXPECT_EQ(fa.fec_repair_sent, fb.fec_repair_sent) << "frame " << i;
+    EXPECT_EQ(fa.fec_recovered, fb.fec_recovered) << "frame " << i;
+    EXPECT_EQ(fa.fec_unrecoverable_windows, fb.fec_unrecoverable_windows)
+        << "frame " << i;
+    EXPECT_EQ(fa.crc_corrupted, fb.crc_corrupted) << "frame " << i;
+  }
+}
+
+// Steps `session` to the end and returns its bitstream: every encoded
+// frame, concatenated.
+std::vector<std::uint8_t> run_collecting_bitstream(StreamSession& session) {
+  std::vector<std::uint8_t> bitstream;
+  while (!session.done()) {
+    session.step();
+    const std::vector<std::uint8_t>& bytes = session.frame().encoded.bytes;
+    bitstream.insert(bitstream.end(), bytes.begin(), bytes.end());
+  }
+  return bitstream;
+}
+
 TEST(StreamSession, ShimMatchesMonolithicReferenceLoop) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kForemanLike);
@@ -138,19 +275,11 @@ TEST(StreamSession, ShimMatchesMonolithicReferenceLoop) {
   ReferenceRun reference =
       run_monolithic_reference(seq, scheme, &ref_loss, config);
 
-  // Session side: same inputs, plus a tap stage collecting the bitstream —
-  // the stage API at work on the exact path under test.
+  // Session side: same inputs, with the bitstream read from frame().
   net::UniformFrameLoss session_loss(0.15, /*seed=*/2005);
   StreamSession session([&seq](int i) { return seq.frame_at(i); }, scheme,
                         &session_loss, config);
-  std::vector<std::uint8_t> bitstream;
-  session.insert_stage_after(
-      "encode", {"bitstream-tap", [&bitstream](FrameContext& ctx,
-                                               StreamSession&) {
-                   bitstream.insert(bitstream.end(), ctx.encoded.bytes.begin(),
-                                    ctx.encoded.bytes.end());
-                 }});
-  session.run_to_end();
+  const std::vector<std::uint8_t> bitstream = run_collecting_bitstream(session);
   PipelineResult result = session.take_result();
 
   EXPECT_EQ(bitstream, reference.bitstream);  // bitstream byte-identical
@@ -185,6 +314,64 @@ TEST(StreamSession, ShimMatchesReferenceWithRateControlAndHooks) {
   expect_results_identical(reference.result, shim);
 }
 
+// Every optional stage at once (FEC, CRC, fault injection, bursty loss and
+// the RTCP loop) against the reference loop. A session that ran two of
+// these stages in another order, or fed the loop a different count, drifts
+// from the reference here.
+TEST(StreamSession, ShimMatchesReferenceWithEveryOptionalStage) {
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  PipelineConfig config = short_config(30);
+  config.packetizer.mtu = 96;
+  net::FecConfig fec;
+  fec.scheme = net::FecScheme::kReedSolomon;
+  fec.k = 8;
+  fec.m = 2;
+  config.fec = fec;
+  config.wire = net::WireConfig{};
+  net::FaultInjectorConfig faults;
+  faults.seed = 41;
+  faults.p_bit_flip = 0.02;
+  faults.p_truncate = 0.01;
+  faults.p_header_corrupt = 0.01;
+  faults.p_duplicate = 0.01;
+  faults.p_reorder = 0.02;
+  config.faults = faults;
+  int reports = 0;
+  config.feedback_rtt_frames = 2;
+  config.on_feedback = [&reports](int, const net::ReceiverReport& report,
+                                  codec::RefreshPolicy& policy) {
+    ++reports;
+    if (auto* p = dynamic_cast<core::PbpairPolicy*>(&policy)) {
+      p->set_plr(report.fraction_lost_as_double());
+    }
+  };
+  SchemeSpec scheme = SchemeSpec::pbpair(pbpair_config(0.9, 0.10));
+  const net::GilbertElliottLoss::Params bursts;  // ~11% loss, 50% in a burst
+
+  net::GilbertElliottLoss ref_loss(bursts, /*seed=*/2005);
+  ReferenceRun reference =
+      run_monolithic_reference(seq, scheme, &ref_loss, config);
+  const int reference_reports = reports;
+  reports = 0;
+
+  net::GilbertElliottLoss session_loss(bursts, /*seed=*/2005);
+  StreamSession session([&seq](int i) { return seq.frame_at(i); }, scheme,
+                        &session_loss, config);
+  const std::vector<std::uint8_t> bitstream = run_collecting_bitstream(session);
+  PipelineResult result = session.take_result();
+
+  EXPECT_EQ(bitstream, reference.bitstream);
+  expect_every_field_identical(reference.result, result);
+  EXPECT_EQ(reports, reference_reports);
+
+  // Each optional stage did something, so the comparison above covers it.
+  EXPECT_GT(result.fec_encode.repair_packets, 0u);
+  EXPECT_GT(result.fec_decode.packets_recovered, 0u);
+  EXPECT_GT(result.wire.crc_corrupted, 0u);
+  EXPECT_GT(reports, 0);
+}
+
 TEST(StreamSession, StepAdvancesExactlyOneFrame) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kAkiyoLike);
@@ -202,42 +389,19 @@ TEST(StreamSession, StepAdvancesExactlyOneFrame) {
   EXPECT_EQ(result.frames.size(), 5u);
 }
 
-TEST(StreamSession, ReplaceStageSwapsTheChannel) {
-  // Swap "transmit" for a black-hole channel: every frame is lost, the
-  // decoder conceals everything — no loop code touched.
+TEST(StreamSession, TotalLossChannelLosesEveryFrame) {
+  // A channel that drops every frame: every frame is lost and the decoder
+  // conceals what it never received.
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  net::UniformFrameLoss black_hole(1.0, /*seed=*/2005);
   StreamSession session([&seq](int i) { return seq.frame_at(i); },
-                        SchemeSpec::no_resilience(), nullptr,
+                        SchemeSpec::no_resilience(), &black_hole,
                         short_config(6));
-  session.replace_stage("transmit",
-                        {"black-hole", [](FrameContext& ctx, StreamSession&) {
-                           ctx.delivered.clear();
-                         }});
   session.run_to_end();
   PipelineResult result = session.take_result();
   EXPECT_GT(result.concealed_mbs, 0u);
   for (const FrameTrace& f : result.frames) EXPECT_TRUE(f.lost);
-}
-
-TEST(StreamSession, InsertAndRemoveStagesByName) {
-  video::SyntheticSequence seq =
-      video::make_paper_sequence(video::SequenceKind::kAkiyoLike);
-  StreamSession session([&seq](int i) { return seq.frame_at(i); },
-                        SchemeSpec::no_resilience(), nullptr,
-                        short_config(3));
-  int taps = 0;
-  session.insert_stage_before("decode",
-                              {"tap", [&taps](FrameContext&, StreamSession&) {
-                                 ++taps;
-                               }});
-  ASSERT_EQ(session.stages().size(), 7u);
-  session.step();
-  EXPECT_EQ(taps, 1);
-  session.remove_stage("tap");
-  ASSERT_EQ(session.stages().size(), 6u);
-  session.run_to_end();
-  EXPECT_EQ(taps, 1);
 }
 
 // Re-entrancy audit: interleaving two live sessions frame-by-frame must

@@ -41,7 +41,7 @@
 // ASan/UBSan.
 //
 // Wire integrity (DESIGN.md §13): --crc puts an 8-byte CRC64 trailer on
-// every packet and inserts the verify_integrity stage, so damage that
+// every packet and runs the verify_integrity stage, so damage that
 // reaches the receiver is classified corrupted (net.crc.corrupted) rather
 // than folded into loss. monitor then grows lost/s + corrupt/s columns and
 // a wire line with CRC verdict rates and net.wire.ns p50/p99 latency.
@@ -112,7 +112,7 @@ int usage() {
       "           [--fault-header X] [--fault-duplicate X]\n"
       "           [--fault-reorder X] [--fault-seed N]\n"
       "  fec (simulate/serve): [--fec-m M] [--fec-k K] [--fec-scheme xor|rs]\n"
-      "           (m=0, the default, disables the FEC stages entirely)\n"
+      "           (m=0, the default, skips both FEC stages)\n"
       "  wire (simulate/serve): [--crc] frames every packet with a CRC64\n"
       "           trailer; corrupted deliveries drop to erasures and are\n"
       "           counted apart from losses (off keeps the classic bytes)\n"
@@ -162,8 +162,8 @@ void apply_fault_flags(const common::ArgParser& args,
 }
 
 /// Reads the --fec-* flags into PipelineConfig::fec. --fec-m 0 (the
-/// default) leaves the optional unset, so the stage list — and every
-/// output byte — matches a FEC-free build. Returns false on a bad value.
+/// default) leaves the optional unset, so no FEC stage runs and every
+/// output byte matches a FEC-free build. Returns false on a bad value.
 bool apply_fec_flags(const common::ArgParser& args,
                      sim::PipelineConfig* config) {
   net::FecConfig fec;
@@ -370,8 +370,8 @@ int cmd_simulate(const common::ArgParser& args) {
       static_cast<std::uint64_t>(args.get_int("seed", 2005));
   apply_fault_flags(args, &config);
   if (!apply_fec_flags(args, &config)) return 2;
-  // Leaving the optional unset (no --crc) keeps the stage list and every
-  // output byte identical to a build without wire framing.
+  // Leaving the optional unset (no --crc) skips verify_integrity and keeps
+  // every output byte identical to a build without wire framing.
   if (args.has("crc")) config.wire = net::WireConfig{};
 
   video::SyntheticSequence sequence = video::make_paper_sequence(kind);
@@ -415,8 +415,8 @@ int cmd_simulate(const common::ArgParser& args) {
        sim::format("%.3f", r.encode_energy.total_j()),
        sim::format("%.3f", r.tx_energy_j)});
   table.print();
-  // FEC line: only when the stages ran, so a FEC-free run keeps the
-  // classic output byte-for-byte.
+  // FEC line: only when fec_encode and fec_decode ran, so a FEC-free run
+  // keeps the classic output byte-for-byte.
   if (config.fec.has_value()) {
     std::printf(
         "fec: windows %llu  repair sent %llu (%.1f KB)  recovered %llu  "
