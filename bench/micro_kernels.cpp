@@ -159,7 +159,8 @@ std::vector<KernelTiming> time_all_kernels(const Fixtures& fx) {
     std::int16_t scratch[64];
     std::int16_t work[64];
     std::uint8_t pred[16 * 16];
-    std::int64_t sads[8];
+    std::uint16_t rows4[16][4];
+    std::uint16_t rows8[16][8];
 
     auto slot = [&](KernelId id) -> double& {
       return timings[static_cast<int>(id)].ns[bi];
@@ -183,16 +184,16 @@ std::vector<KernelTiming> time_all_kernels(const Fixtures& fx) {
       const std::uint8_t* base = fx.ref_block(b);
       const std::uint8_t* refs[4] = {base, base + 1, base + 2, base + 3};
       table->sad_16x16_x4(fx.cur_block(b), Fixtures::kStride, refs,
-                          Fixtures::kStride, sads);
-      sink(sads[0] + sads[3]);
+                          Fixtures::kStride, rows4);
+      sink(rows4[15][0] + rows4[15][3]);
     });
     slot(KernelId::kSad16x16X8) = time_kernel([&](int b) {
       const std::uint8_t* base = fx.ref_block(b);
       const std::uint8_t* refs[8] = {base,     base + 1, base + 2, base + 3,
                                      base + 4, base + 5, base + 6, base + 7};
       table->sad_16x16_x8(fx.cur_block(b), Fixtures::kStride, refs,
-                          Fixtures::kStride, sads);
-      sink(sads[0] + sads[7]);
+                          Fixtures::kStride, rows8);
+      sink(rows8[15][0] + rows8[15][7]);
     });
     slot(KernelId::kSad16x16HpelCutoff) = time_kernel([&](int b) {
       const int hb = fx.hpel_block(b);

@@ -82,17 +82,21 @@ struct KernelTable {
   /// Deviation of a 16x16 block from its own (truncated) mean.
   std::int64_t (*sad_self_16x16)(const std::uint8_t* cur, int cur_stride);
 
-  /// Batched full SADs: scores 4 (or 8) candidate reference blocks against
-  /// ONE current block per call, x264 sad_x4-style. No cutoff — the batched
-  /// motion-search wavefront (codec/motion_search.cpp) replays the scalar
-  /// early-exit accounting on top of these totals, so the kernels stay
-  /// branch-free and share the current-block rows across candidates.
+  /// Batched SADs with per-row running totals: scores 4 (or 8) candidate
+  /// reference blocks against ONE current block per call, x264
+  /// sad_x4-style. `rows[y][i]` is candidate i's SAD over block rows 0..y,
+  /// so rows[15][i] is its full SAD; the largest value, 16 * 16 * 255 =
+  /// 65280, fits 16 bits. No cutoff — the batched motion-search wavefront
+  /// (codec/motion_search.cpp) reads each candidate's early-exit row from
+  /// the table (the first y with rows[y][i] >= cutoff, exactly where
+  /// sad_16x16_cutoff stops), so the kernels stay branch-free and share the
+  /// current-block rows across candidates.
   void (*sad_16x16_x4)(const std::uint8_t* cur, int cur_stride,
                        const std::uint8_t* const refs[4], int ref_stride,
-                       std::int64_t sads[4]);
+                       std::uint16_t rows[16][4]);
   void (*sad_16x16_x8)(const std::uint8_t* cur, int cur_stride,
                        const std::uint8_t* const refs[8], int ref_stride,
-                       std::int64_t sads[8]);
+                       std::uint16_t rows[16][8]);
 
   /// Fused half-pel interpolation + SAD with the scalar per-row cutoff.
   /// `ref` points at the FULL-PEL floor position; hx/hy in {0,1} select the

@@ -6,8 +6,8 @@
 //  - SAD: VPSADBW is an exact sum of absolute byte differences; integer
 //    addition is associative, so lane order cannot change the total. The
 //    cutoff variant keeps the scalar per-row termination points, and the
-//    batched x4/x8 kernels compute full sums whose per-candidate totals
-//    equal the scalar loop's.
+//    batched x4/x8 kernels' per-row running totals equal the scalar
+//    loop's partial sums.
 //  - DCT/IDCT: the VPMADDWD formulation documented in kernels_x86_128.inl,
 //    widened to 8 lanes — exact int32 arithmetic end to end, including the
 //    Q28 rounding identity, so no int64 lanes and no scalar tail.
@@ -103,52 +103,56 @@ std::int64_t sad_self_16x16_avx2(const std::uint8_t* cur, int cur_stride) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched SAD: 2 candidates per 256-bit accumulator, shared current rows.
+// Batched SAD: 2 candidates per 256-bit VPSADBW, shared current rows.
 // ---------------------------------------------------------------------------
 
-void sad_16x16_x4_avx2(const std::uint8_t* cur, int cur_stride,
-                       const std::uint8_t* const refs[4], int ref_stride,
-                       std::int64_t sads[4]) {
-  __m256i acc01 = _mm256_setzero_si256();
-  __m256i acc23 = _mm256_setzero_si256();
-  for (int y = 0; y < 16; ++y) {
-    __m128i c128 = load_row128(cur, cur_stride, y);
-    __m256i c = _mm256_inserti128_si256(_mm256_castsi128_si256(c128), c128, 1);
-    const std::ptrdiff_t roff = static_cast<std::ptrdiff_t>(y) * ref_stride;
-    __m256i r01 = _mm256_inserti128_si256(
-        _mm256_castsi128_si256(x86_loadu(refs[0] + roff)),
-        x86_loadu(refs[1] + roff), 1);
-    __m256i r23 = _mm256_inserti128_si256(
-        _mm256_castsi128_si256(x86_loadu(refs[2] + roff)),
-        x86_loadu(refs[3] + roff), 1);
-    acc01 = _mm256_add_epi64(acc01, _mm256_sad_epu8(c, r01));
-    acc23 = _mm256_add_epi64(acc23, _mm256_sad_epu8(c, r23));
-  }
-  sads[0] = x86_sad_hsum(_mm256_castsi256_si128(acc01));
-  sads[1] = x86_sad_hsum(_mm256_extracti128_si256(acc01, 1));
-  sads[2] = x86_sad_hsum(_mm256_castsi256_si128(acc23));
-  sads[3] = x86_sad_hsum(_mm256_extracti128_si256(acc23, 1));
+// Row SADs of candidates a and b, in 128-bit lanes 0 and 1, each split
+// over its lane's two 64-bit halves.
+inline __m256i sad_row_pair(__m256i c, const std::uint8_t* a,
+                            const std::uint8_t* b) {
+  return _mm256_sad_epu8(
+      c, _mm256_inserti128_si256(_mm256_castsi128_si256(x86_loadu(a)),
+                                 x86_loadu(b), 1));
 }
 
-void sad_16x16_x8_avx2(const std::uint8_t* cur, int cur_stride,
-                       const std::uint8_t* const refs[8], int ref_stride,
-                       std::int64_t sads[8]) {
-  __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                    _mm256_setzero_si256(), _mm256_setzero_si256()};
+// Pair k = (2k, 2k+1) shifted up 16k bits puts candidate 2k's halves in
+// words k and k + 4 of lane 0 and candidate 2k+1's in lane 1, so one
+// 16-bit add per row accumulates all N (the kernels_x86_128.inl bound: no
+// word wraps). The fold adds the halves, and interleaving the two lanes'
+// words restores candidate order: row total i lands in word i.
+template <int N>
+void sad_16x16_xn_avx2(const std::uint8_t* cur, int cur_stride,
+                       const std::uint8_t* const refs[N], int ref_stride,
+                       std::uint16_t rows[16][N]) {
+  static_assert(N == 4 || N == 8);
+  __m256i acc = _mm256_setzero_si256();
   for (int y = 0; y < 16; ++y) {
     __m128i c128 = load_row128(cur, cur_stride, y);
     __m256i c = _mm256_inserti128_si256(_mm256_castsi128_si256(c128), c128, 1);
     const std::ptrdiff_t roff = static_cast<std::ptrdiff_t>(y) * ref_stride;
-    for (int i = 0; i < 4; ++i) {
-      __m256i r = _mm256_inserti128_si256(
-          _mm256_castsi128_si256(x86_loadu(refs[2 * i] + roff)),
-          x86_loadu(refs[2 * i + 1] + roff), 1);
-      acc[i] = _mm256_add_epi64(acc[i], _mm256_sad_epu8(c, r));
+    __m256i packed = _mm256_or_si256(
+        sad_row_pair(c, refs[0] + roff, refs[1] + roff),
+        _mm256_slli_epi64(sad_row_pair(c, refs[2] + roff, refs[3] + roff),
+                          16));
+    if constexpr (N == 8) {
+      packed = _mm256_or_si256(
+          packed,
+          _mm256_or_si256(
+              _mm256_slli_epi64(
+                  sad_row_pair(c, refs[4] + roff, refs[5] + roff), 32),
+              _mm256_slli_epi64(
+                  sad_row_pair(c, refs[6] + roff, refs[7] + roff), 48)));
     }
-  }
-  for (int i = 0; i < 4; ++i) {
-    sads[2 * i] = x86_sad_hsum(_mm256_castsi256_si128(acc[i]));
-    sads[2 * i + 1] = x86_sad_hsum(_mm256_extracti128_si256(acc[i], 1));
+    acc = _mm256_add_epi16(acc, packed);
+    const __m256i folded = _mm256_add_epi16(acc, _mm256_bsrli_epi128(acc, 8));
+    const __m128i totals =
+        _mm_unpacklo_epi16(_mm256_castsi256_si128(folded),
+                           _mm256_extracti128_si256(folded, 1));
+    if constexpr (N == 4) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(rows[y]), totals);
+    } else {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(rows[y]), totals);
+    }
   }
 }
 
@@ -364,9 +368,9 @@ const KernelTable* avx2_table_or_null() {
     adopt(KernelId::kSad16x16Cutoff);
     t.sad_self_16x16 = &sad_self_16x16_avx2;
     adopt(KernelId::kSadSelf16x16);
-    t.sad_16x16_x4 = &sad_16x16_x4_avx2;
+    t.sad_16x16_x4 = &sad_16x16_xn_avx2<4>;
     adopt(KernelId::kSad16x16X4);
-    t.sad_16x16_x8 = &sad_16x16_x8_avx2;
+    t.sad_16x16_x8 = &sad_16x16_xn_avx2<8>;
     adopt(KernelId::kSad16x16X8);
     t.sad_16x16_hpel_cutoff = &sad_16x16_hpel_cutoff_128;
     adopt(KernelId::kSad16x16HpelCutoff);

@@ -2,12 +2,12 @@
 // supports it (see src/codec/CMakeLists.txt); the dispatcher only hands
 // this table out after a runtime CPUID check for all four extensions.
 //
-// The 512-bit wins here are the batched-SAD wavefront kernels (four 16-byte
-// candidate rows per VPSADBW) and quant/dequant (16 int32 lanes per op with
-// mask-register sign handling instead of VPSIGND). The DCT, half-pel, and
-// single-SAD kernels inherit the AVX2 implementations — recorded as such in
-// the per-kernel origin — because 8x8 transforms and row-at-a-time cutoff
-// loops don't widen profitably past 256 bits.
+// The 512-bit win here is quant/dequant (16 int32 lanes per op with
+// mask-register sign handling instead of VPSIGND). Every other slot
+// inherits the AVX2 implementation — recorded as such in the per-kernel
+// origin. That includes the batched x4/x8 SADs: with per-row running
+// totals to store, a 512-bit body was no faster than the AVX2 one, whose
+// 16-bit packed accumulators need no per-row narrowing.
 #include "codec/kernels/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
@@ -24,59 +24,6 @@ namespace pbpair::codec::kernels {
 const KernelTable* avx2_table_or_null();
 
 namespace {
-
-inline __m128i load_row128(const std::uint8_t* base, std::ptrdiff_t off) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + off));
-}
-
-// Sums the 8 int64 VPSADBW partials of one zmm into per-candidate SADs:
-// lanes (2i, 2i+1) belong to the 16-byte row block of candidate i.
-inline void store_sads_x4(__m512i acc, std::int64_t* sads) {
-  alignas(64) std::int64_t v[8];
-  _mm512_store_si512(reinterpret_cast<__m512i*>(v), acc);
-  for (int i = 0; i < 4; ++i) sads[i] = v[2 * i] + v[2 * i + 1];
-}
-
-void sad_16x16_x4_avx512(const std::uint8_t* cur, int cur_stride,
-                         const std::uint8_t* const refs[4], int ref_stride,
-                         std::int64_t sads[4]) {
-  __m512i acc = _mm512_setzero_si512();
-  for (int y = 0; y < 16; ++y) {
-    const std::ptrdiff_t coff = static_cast<std::ptrdiff_t>(y) * cur_stride;
-    const std::ptrdiff_t roff = static_cast<std::ptrdiff_t>(y) * ref_stride;
-    __m512i c = _mm512_broadcast_i32x4(load_row128(cur, coff));
-    __m512i r = _mm512_castsi128_si512(load_row128(refs[0], roff));
-    r = _mm512_inserti32x4(r, load_row128(refs[1], roff), 1);
-    r = _mm512_inserti32x4(r, load_row128(refs[2], roff), 2);
-    r = _mm512_inserti32x4(r, load_row128(refs[3], roff), 3);
-    acc = _mm512_add_epi64(acc, _mm512_sad_epu8(c, r));
-  }
-  store_sads_x4(acc, sads);
-}
-
-void sad_16x16_x8_avx512(const std::uint8_t* cur, int cur_stride,
-                         const std::uint8_t* const refs[8], int ref_stride,
-                         std::int64_t sads[8]) {
-  __m512i acc_lo = _mm512_setzero_si512();
-  __m512i acc_hi = _mm512_setzero_si512();
-  for (int y = 0; y < 16; ++y) {
-    const std::ptrdiff_t coff = static_cast<std::ptrdiff_t>(y) * cur_stride;
-    const std::ptrdiff_t roff = static_cast<std::ptrdiff_t>(y) * ref_stride;
-    __m512i c = _mm512_broadcast_i32x4(load_row128(cur, coff));
-    __m512i r0 = _mm512_castsi128_si512(load_row128(refs[0], roff));
-    r0 = _mm512_inserti32x4(r0, load_row128(refs[1], roff), 1);
-    r0 = _mm512_inserti32x4(r0, load_row128(refs[2], roff), 2);
-    r0 = _mm512_inserti32x4(r0, load_row128(refs[3], roff), 3);
-    __m512i r1 = _mm512_castsi128_si512(load_row128(refs[4], roff));
-    r1 = _mm512_inserti32x4(r1, load_row128(refs[5], roff), 1);
-    r1 = _mm512_inserti32x4(r1, load_row128(refs[6], roff), 2);
-    r1 = _mm512_inserti32x4(r1, load_row128(refs[7], roff), 3);
-    acc_lo = _mm512_add_epi64(acc_lo, _mm512_sad_epu8(c, r0));
-    acc_hi = _mm512_add_epi64(acc_hi, _mm512_sad_epu8(c, r1));
-  }
-  store_sads_x4(acc_lo, sads);
-  store_sads_x4(acc_hi, sads + 4);
-}
 
 // ---------------------------------------------------------------------------
 // Quantization: one 16-lane int32 vector per 16 coefficients, sign and
@@ -145,7 +92,7 @@ void dequantize_ac_avx512(std::int16_t* block, int first, int qp) {
 const KernelTable* avx512_table_or_null() {
   static const KernelTable table = [] {
     // Inherit everything AVX2 provides (origin records carry over), then
-    // override the slots where 512-bit lanes genuinely pay off.
+    // override quant/dequant, where 512-bit lanes pay off.
     const KernelTable* base = avx2_table_or_null();
     KernelTable t = base != nullptr ? *base : scalar_table();
     t.backend = Backend::kAvx512;
@@ -153,10 +100,6 @@ const KernelTable* avx512_table_or_null() {
     auto adopt = [&t](KernelId id) {
       t.origin[static_cast<int>(id)] = Backend::kAvx512;
     };
-    t.sad_16x16_x4 = &sad_16x16_x4_avx512;
-    adopt(KernelId::kSad16x16X4);
-    t.sad_16x16_x8 = &sad_16x16_x8_avx512;
-    adopt(KernelId::kSad16x16X8);
     t.quantize_ac = &quantize_ac_avx512;
     adopt(KernelId::kQuantizeAc);
     t.dequantize_ac = &dequantize_ac_avx512;

@@ -75,29 +75,32 @@ std::int64_t sad_self_16x16_neon(const std::uint8_t* cur, int cur_stride) {
   return static_cast<std::int64_t>(vaddlvq_u16(dev));
 }
 
-void sad_16x16_x4_neon(const std::uint8_t* cur, int cur_stride,
-                       const std::uint8_t* const refs[4], int ref_stride,
-                       std::int64_t sads[4]) {
-  uint16x8_t acc0 = vdupq_n_u16(0), acc1 = acc0, acc2 = acc0, acc3 = acc0;
+// Totals of four u16 accumulators, candidate i's in lane i. Pairwise adds
+// only ever form partial sums of one block's total (<= 65280): no wrap.
+inline uint16x4_t neon_totals4(uint16x8_t a0, uint16x8_t a1, uint16x8_t a2,
+                               uint16x8_t a3) {
+  uint16x8_t q = vpaddq_u16(vpaddq_u16(a0, a1), vpaddq_u16(a2, a3));
+  return vget_low_u16(vpaddq_u16(q, q));
+}
+
+template <int N>
+void sad_16x16_xn_neon(const std::uint8_t* cur, int cur_stride,
+                       const std::uint8_t* const refs[N], int ref_stride,
+                       std::uint16_t rows[16][N]) {
+  static_assert(N == 4 || N == 8);
+  uint16x8_t acc[N];
+  for (int i = 0; i < N; ++i) acc[i] = vdupq_n_u16(0);
   for (int y = 0; y < 16; ++y) {
     const std::ptrdiff_t roff = static_cast<std::ptrdiff_t>(y) * ref_stride;
     uint8x16_t c = vld1q_u8(cur + static_cast<std::ptrdiff_t>(y) * cur_stride);
-    acc0 = vpadalq_u8(acc0, vabdq_u8(c, vld1q_u8(refs[0] + roff)));
-    acc1 = vpadalq_u8(acc1, vabdq_u8(c, vld1q_u8(refs[1] + roff)));
-    acc2 = vpadalq_u8(acc2, vabdq_u8(c, vld1q_u8(refs[2] + roff)));
-    acc3 = vpadalq_u8(acc3, vabdq_u8(c, vld1q_u8(refs[3] + roff)));
+    for (int i = 0; i < N; ++i) {
+      acc[i] = vpadalq_u8(acc[i], vabdq_u8(c, vld1q_u8(refs[i] + roff)));
+    }
+    for (int g = 0; g < N; g += 4) {
+      vst1_u16(&rows[y][g],
+               neon_totals4(acc[g], acc[g + 1], acc[g + 2], acc[g + 3]));
+    }
   }
-  sads[0] = vaddlvq_u16(acc0);
-  sads[1] = vaddlvq_u16(acc1);
-  sads[2] = vaddlvq_u16(acc2);
-  sads[3] = vaddlvq_u16(acc3);
-}
-
-void sad_16x16_x8_neon(const std::uint8_t* cur, int cur_stride,
-                       const std::uint8_t* const refs[8], int ref_stride,
-                       std::int64_t sads[8]) {
-  sad_16x16_x4_neon(cur, cur_stride, refs, ref_stride, sads);
-  sad_16x16_x4_neon(cur, cur_stride, refs + 4, ref_stride, sads + 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,8 +438,8 @@ const KernelTable* neon_table_or_null() {
     t.sad_16x16 = &sad_16x16_neon;
     t.sad_16x16_cutoff = &sad_16x16_cutoff_neon;
     t.sad_self_16x16 = &sad_self_16x16_neon;
-    t.sad_16x16_x4 = &sad_16x16_x4_neon;
-    t.sad_16x16_x8 = &sad_16x16_x8_neon;
+    t.sad_16x16_x4 = &sad_16x16_xn_neon<4>;
+    t.sad_16x16_x8 = &sad_16x16_xn_neon<8>;
     t.sad_16x16_hpel_cutoff = &sad_16x16_hpel_cutoff_neon;
     t.forward_dct_8x8 = &forward_dct_8x8_neon;
     t.inverse_dct_8x8 = &inverse_dct_8x8_neon;

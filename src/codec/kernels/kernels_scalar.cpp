@@ -60,19 +60,23 @@ std::int64_t sad_self_16x16_scalar(const std::uint8_t* cur, int cur_stride) {
   return dev;
 }
 
-void sad_16x16_x4_scalar(const std::uint8_t* cur, int cur_stride,
-                         const std::uint8_t* const refs[4], int ref_stride,
-                         std::int64_t sads[4]) {
-  for (int i = 0; i < 4; ++i) {
-    sads[i] = sad_16x16_scalar(cur, cur_stride, refs[i], ref_stride);
-  }
-}
-
-void sad_16x16_x8_scalar(const std::uint8_t* cur, int cur_stride,
-                         const std::uint8_t* const refs[8], int ref_stride,
-                         std::int64_t sads[8]) {
-  for (int i = 0; i < 8; ++i) {
-    sads[i] = sad_16x16_scalar(cur, cur_stride, refs[i], ref_stride);
+template <int N>
+void sad_16x16_xn_scalar(const std::uint8_t* cur, int cur_stride,
+                         const std::uint8_t* const refs[N], int ref_stride,
+                         std::uint16_t rows[16][N]) {
+  for (int i = 0; i < N; ++i) {
+    int sad = 0;
+    for (int y = 0; y < 16; ++y) {
+      const std::uint8_t* crow =
+          cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+      const std::uint8_t* rrow =
+          refs[i] + static_cast<std::ptrdiff_t>(y) * ref_stride;
+      for (int x = 0; x < 16; ++x) {
+        sad += common::iabs(static_cast<int>(crow[x]) -
+                            static_cast<int>(rrow[x]));
+      }
+      rows[y][i] = static_cast<std::uint16_t>(sad);
+    }
   }
 }
 
@@ -241,8 +245,8 @@ KernelTable make_scalar_table() {
   t.sad_16x16 = &sad_16x16_scalar;
   t.sad_16x16_cutoff = &sad_16x16_cutoff_scalar;
   t.sad_self_16x16 = &sad_self_16x16_scalar;
-  t.sad_16x16_x4 = &sad_16x16_x4_scalar;
-  t.sad_16x16_x8 = &sad_16x16_x8_scalar;
+  t.sad_16x16_x4 = &sad_16x16_xn_scalar<4>;
+  t.sad_16x16_x8 = &sad_16x16_xn_scalar<8>;
   t.sad_16x16_hpel_cutoff = &sad_16x16_hpel_cutoff_scalar;
   t.forward_dct_8x8 = &forward_dct_8x8_scalar;
   t.inverse_dct_8x8 = &inverse_dct_8x8_scalar;

@@ -5,7 +5,6 @@
 #include "codec/sad.h"
 #include "common/check.h"
 #include "common/math_util.h"
-#include "obs/metrics.h"
 
 namespace pbpair::codec {
 namespace {
@@ -49,10 +48,10 @@ struct SearchContext {
   }
 };
 
-// Batching trades the per-candidate early exit for multi-candidate vector
-// throughput; that only pays when the table brings a real vector kernel.
-// The scalar table's batched slot is just eight sequential full SADs, which
-// would turn the early-exit-heavy search into strictly more work.
+// Batching engages only when the table brings a real vector kernel. The
+// scalar backend keeps the sequential early-exit loop because that loop is
+// the reference the batched replay is checked against: the backend digest
+// tests compare every SIMD backend's bitstream and counters with it.
 bool use_batched_sads() {
   return kernels::active().origin_of(kernels::KernelId::kSad16x16X4) !=
          kernels::Backend::kScalar;
@@ -62,23 +61,19 @@ bool use_batched_sads() {
 // reproducing the sequential scalar search bit for bit.
 //
 // Candidates are staged in scalar evaluation order and scored eight (or
-// four) at a time with the multi-candidate kernels, which compute full
-// 16-row SADs with no early exit. The staged batch is then REPLAYED in
-// order against the evolving best cost:
+// four) at a time with the multi-candidate kernels, which return every
+// candidate's running SAD after each block row. The staged batch is then
+// REPLAYED in order against the evolving best cost:
 //
 //   - cutoff <= 0: the penalty alone disqualifies the candidate; the scalar
 //     path spent no SAD work and touched no counters, so neither does the
 //     replay (the batch's wasted rows are wall-clock only — the energy
 //     model meters algorithmic work, not the machine's).
-//   - batched SAD < cutoff: the scalar cutoff loop would have completed all
-//     16 rows (partial sums are monotonically nondecreasing, so they cannot
-//     reach the cutoff before the total does) and returned this exact
-//     value. Metering is the full 256 pixels and one sad_calls tick.
-//   - batched SAD >= cutoff: the scalar loop early-exited on some row with
-//     some partial sum, and both the row count (energy) and the exit
-//     (observability) are part of the contract. The replay re-runs the
-//     metered cutoff wrapper, which terminates on the same row the scalar
-//     search did.
+//   - otherwise the scalar cutoff loop stops after the first row whose
+//     running sum reaches the cutoff and returns that sum, or completes all
+//     16 rows and returns the total. The per-row table holds exactly those
+//     running sums, so the replay reads the exit row and its value from it
+//     and meters them as the sequential cutoff path would.
 //
 // Penalties are evaluated during the replay, after earlier candidates have
 // updated best.cost — identical to the scalar candidate loop. Batches may
@@ -112,39 +107,34 @@ class BatchScorer {
     const std::uint8_t* cur = ctx_.cur.row(ctx_.py) + ctx_.px;
     const int cur_stride = ctx_.cur.width();
     const int ref_stride = ctx_.ref.width();
-    std::int64_t sads[8];
-    if (n_ == 8) {
-      kt.sad_16x16_x8(cur, cur_stride, refs_, ref_stride, sads);
-    } else if (n_ >= 4) {
-      kt.sad_16x16_x4(cur, cur_stride, refs_, ref_stride, sads);
-      for (int i = 4; i < n_; ++i) {
-        sads[i] = kt.sad_16x16(cur, cur_stride, refs_[i], ref_stride);
-      }
+    // Unused lanes of a partial batch score a block that is already staged,
+    // so the kernel reads no memory outside the search window.
+    const int lanes = n_ <= 4 ? 4 : 8;
+    for (int i = n_; i < lanes; ++i) refs_[i] = refs_[0];
+    if (lanes == 4) {
+      std::uint16_t rows[16][4];
+      kt.sad_16x16_x4(cur, cur_stride, refs_, ref_stride, rows);
+      replay_rows(rows);
     } else {
-      for (int i = 0; i < n_; ++i) {
-        sads[i] = kt.sad_16x16(cur, cur_stride, refs_[i], ref_stride);
-      }
+      std::uint16_t rows[16][8];
+      kt.sad_16x16_x8(cur, cur_stride, refs_, ref_stride, rows);
+      replay_rows(rows);
     }
+    n_ = 0;
+  }
 
+  template <int N>
+  void replay_rows(const std::uint16_t (&rows)[16][N]) {
     for (int i = 0; i < n_; ++i) {
       const MotionVector mv = MotionVector::from_pixels(dx_[i], dy_[i]);
       const std::int64_t pen = ctx_.penalty_of(mv, mb_x_, mb_y_);
       const std::int64_t cutoff = best_.cost - pen;
       ++best_.candidates;
       if (cutoff <= 0) continue;
-      std::int64_t sad;
-      if (sads[i] < cutoff) {
-        sad = sads[i];
-        ctx_.ops->sad_pixel_ops += 256;
-        if (obs::enabled()) {
-          static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-          c_calls->add(1);
-        }
-      } else {
-        sad = sad_16x16_cutoff(ctx_.cur, ctx_.px, ctx_.py, ctx_.ref,
-                               ctx_.px + dx_[i], ctx_.py + dy_[i], cutoff,
-                               *ctx_.ops);
-      }
+      int y = 0;
+      while (y < 15 && rows[y][i] < cutoff) ++y;
+      const std::int64_t sad = rows[y][i];
+      meter_sad_rows(y + 1, *ctx_.ops);
       const std::int64_t cost = sad + pen;
       if (cost < best_.cost) {
         best_.cost = cost;
@@ -153,7 +143,6 @@ class BatchScorer {
         improved_ = true;
       }
     }
-    n_ = 0;
   }
 
   const SearchContext& ctx_;

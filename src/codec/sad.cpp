@@ -2,7 +2,6 @@
 
 #include "codec/kernels/kernels.h"
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace pbpair::codec {
 
@@ -20,11 +19,7 @@ std::int64_t sad_16x16(const video::Plane& cur, int cx, int cy,
             ry + 16 <= ref.height());
   std::int64_t sad = kernels::active().sad_16x16(
       cur.row(cy) + cx, cur.width(), ref.row(ry) + rx, ref.width());
-  ops.sad_pixel_ops += 256;
-  if (obs::enabled()) {
-    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-    c_calls->add(1);
-  }
+  meter_sad_rows(16, ops);
   return sad;
 }
 
@@ -39,13 +34,7 @@ std::int64_t sad_16x16_cutoff(const video::Plane& cur, int cx, int cy,
   std::int64_t sad = kernels::active().sad_16x16_cutoff(
       cur.row(cy) + cx, cur.width(), ref.row(ry) + rx, ref.width(), cutoff,
       &rows);
-  ops.sad_pixel_ops += 16 * static_cast<std::uint64_t>(rows);
-  if (obs::enabled()) {
-    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-    static obs::Counter* c_early = &obs::counter("encoder.sad_early_exits");
-    c_calls->add(1);
-    if (rows < 16) c_early->add(1);
-  }
+  meter_sad_rows(rows, ops);
   return sad;
 }
 

@@ -4,9 +4,25 @@
 #include <cstdint>
 
 #include "energy/op_counters.h"
+#include "obs/metrics.h"
 #include "video/frame.h"
 
 namespace pbpair::codec {
+
+/// Meters one 16x16 SAD that accumulated `rows` block rows (1..16): 16
+/// sad_pixel_ops per row and, while obs is on, one encoder.sad_calls tick
+/// plus an encoder.sad_early_exits tick when it stopped short of row 16.
+/// Every metered SAD path — single, cutoff and the batched motion-search
+/// replay — goes through here, so the counts cannot depend on which ran.
+inline void meter_sad_rows(int rows, energy::OpCounters& ops) {
+  ops.sad_pixel_ops += 16 * static_cast<std::uint64_t>(rows);
+  if (obs::enabled()) {
+    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
+    static obs::Counter* c_early = &obs::counter("encoder.sad_early_exits");
+    c_calls->add(1);
+    if (rows < 16) c_early->add(1);
+  }
+}
 
 /// SAD between the 16x16 luma block of `cur` at (cx, cy) and the block of
 /// `ref` at (rx, ry). Both blocks must be fully inside their planes.

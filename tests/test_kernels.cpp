@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "codec/encoder.h"
@@ -13,6 +14,7 @@
 #include "codec/quant.h"
 #include "codec/sad.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sim/scheme.h"
 #include "video/frame.h"
 #include "video/sequence.h"
@@ -151,35 +153,79 @@ TEST(Kernels, DctMatchesScalar) {
   }
 }
 
+// What the scalar cutoff loop returns for `cutoff`, read off a batched
+// kernel's per-row table: the first row whose running SAD reaches the
+// cutoff, or the full SAD after row 16.
+template <int N>
+std::pair<std::int64_t, int> exit_from_rows(const std::uint16_t (&rows)[16][N],
+                                            int lane, std::int64_t cutoff) {
+  int y = 0;
+  while (y < 15 && rows[y][lane] < cutoff) ++y;
+  return {rows[y][lane], y + 1};
+}
+
+// The per-row contract of the batched kernels on every backend, scalar
+// included: each lane's table yields the scalar cutoff loop's (sad, rows)
+// for any cutoff, its last row is the full SAD, and every entry equals the
+// scalar table's.
 TEST(Kernels, BatchedSadMatchesScalarSingleCalls) {
   const KernelTable& scalar = codec::kernels::scalar_table();
   PixelField cur(60), ref(61);
+  // All 0 against all 255 scores the largest SAD, 16 * 16 * 255 = 65280.
+  const std::vector<std::uint8_t> black(16 * 16, 0), white(16 * 16, 255);
   common::Pcg32 rng(62);
-  for (const KernelTable* simd : simd_tables()) {
-    for (int trial = 0; trial < 400; ++trial) {
+  for (Backend backend : codec::kernels::supported_backends()) {
+    const KernelTable* table = codec::kernels::table_for(backend);
+    for (int trial = 0; trial < 401; ++trial) {
+      const bool extreme = trial == 400;
       int cx = rng.next_in_range(0, cur.stride - 16);
       int cy = rng.next_in_range(0, cur.rows - 16);
+      const std::uint8_t* cur_block = extreme ? black.data() : cur.at(cx, cy);
+      const int cur_stride = extreme ? 16 : cur.stride;
+      const int ref_stride = extreme ? 16 : ref.stride;
       const std::uint8_t* refs[8];
-      std::int64_t want[8];
+      std::int64_t cutoffs[8];
       for (int i = 0; i < 8; ++i) {
         int rx = rng.next_in_range(0, ref.stride - 16);
         int ry = rng.next_in_range(0, ref.rows - 16);
-        refs[i] = ref.at(rx, ry);
-        want[i] = scalar.sad_16x16(cur.at(cx, cy), cur.stride, refs[i],
-                                   ref.stride);
+        refs[i] = extreme ? white.data() : ref.at(rx, ry);
+        switch ((trial + i) % 4) {
+          case 0: cutoffs[i] = rng.next_in_range(-5, 5); break;
+          case 1: cutoffs[i] = rng.next_in_range(1, 4000); break;
+          case 2: cutoffs[i] = rng.next_in_range(4000, 40000); break;
+          default: cutoffs[i] = 1'000'000; break;
+        }
       }
-      std::int64_t got4[4] = {-1, -1, -1, -1};
-      simd->sad_16x16_x4(cur.at(cx, cy), cur.stride, refs, ref.stride, got4);
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(want[i], got4[i])
-            << simd->name << " x4 lane " << i << " trial " << trial;
-      }
-      std::int64_t got8[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
-      simd->sad_16x16_x8(cur.at(cx, cy), cur.stride, refs, ref.stride, got8);
+      std::uint16_t got4[16][4], want4[16][4];
+      std::uint16_t got8[16][8], want8[16][8];
+      table->sad_16x16_x4(cur_block, cur_stride, refs, ref_stride, got4);
+      table->sad_16x16_x8(cur_block, cur_stride, refs, ref_stride, got8);
+      scalar.sad_16x16_x4(cur_block, cur_stride, refs, ref_stride, want4);
+      scalar.sad_16x16_x8(cur_block, cur_stride, refs, ref_stride, want8);
+      ASSERT_EQ(0, std::memcmp(want4, got4, sizeof(got4)))
+          << table->name << " x4 trial " << trial;
+      ASSERT_EQ(0, std::memcmp(want8, got8, sizeof(got8)))
+          << table->name << " x8 trial " << trial;
       for (int i = 0; i < 8; ++i) {
-        ASSERT_EQ(want[i], got8[i])
-            << simd->name << " x8 lane " << i << " trial " << trial;
+        int want_rows = -1;
+        const std::int64_t want_sad =
+            scalar.sad_16x16_cutoff(cur_block, cur_stride, refs[i],
+                                    ref_stride, cutoffs[i], &want_rows);
+        const std::int64_t full =
+            scalar.sad_16x16(cur_block, cur_stride, refs[i], ref_stride);
+        const std::pair<std::int64_t, int> want{want_sad, want_rows};
+        ASSERT_EQ(want, exit_from_rows(got8, i, cutoffs[i]))
+            << table->name << " x8 lane " << i << " trial " << trial;
+        ASSERT_EQ(full, got8[15][i])
+            << table->name << " x8 lane " << i << " trial " << trial;
+        if (i < 4) {
+          ASSERT_EQ(want, exit_from_rows(got4, i, cutoffs[i]))
+              << table->name << " x4 lane " << i << " trial " << trial;
+          ASSERT_EQ(full, got4[15][i])
+              << table->name << " x4 lane " << i << " trial " << trial;
+        }
       }
+      if (extreme) ASSERT_EQ(got8[15][7], 65280) << table->name;
     }
   }
 }
@@ -458,21 +504,61 @@ TEST(Kernels, OpCountersIdenticalAcrossBackends) {
   }
 }
 
+// Turns obs on for one test and leaves the global registry blank behind
+// it, so the encoder's SAD counters read below count only that test's
+// encodes.
+class ScopedSadObs {
+ public:
+  ScopedSadObs() : prev_(obs::enabled()) { obs::set_enabled(true); }
+  ~ScopedSadObs() {
+    obs::set_enabled(prev_);
+    obs::Registry::global().reset_all();
+  }
+  ScopedSadObs(const ScopedSadObs&) = delete;
+  ScopedSadObs& operator=(const ScopedSadObs&) = delete;
+
+ private:
+  bool prev_;
+};
+
+// One backend's encode: bitstream, OpCounters and the obs SAD counters.
+struct EncodeRun {
+  std::vector<std::uint8_t> bytes;
+  energy::OpCounters ops;
+  std::uint64_t sad_calls = 0;
+  std::uint64_t sad_early_exits = 0;
+
+  void read_sad_counters() {
+    sad_calls = obs::counter("encoder.sad_calls").value();
+    sad_early_exits = obs::counter("encoder.sad_early_exits").value();
+  }
+};
+
+void expect_runs_identical(const std::vector<EncodeRun>& runs) {
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[0].bytes, runs[i].bytes) << "backend index " << i;
+    EXPECT_EQ(0, std::memcmp(&runs[0].ops, &runs[i].ops,
+                             sizeof(energy::OpCounters)))
+        << "backend index " << i;
+    EXPECT_EQ(runs[0].sad_calls, runs[i].sad_calls) << "backend index " << i;
+    EXPECT_EQ(runs[0].sad_early_exits, runs[i].sad_early_exits)
+        << "backend index " << i;
+  }
+}
+
 // Strongest equivalence check: a short full-encoder run must produce the
-// same bitstream and the same operation counters on every backend.
+// same bitstream, the same operation counters and the same SAD obs counters
+// on every backend.
 TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kForemanLike);
   const Backend original = codec::kernels::active_backend();
+  ScopedSadObs obs_on;
 
-  struct EncodeRun {
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t sad_ops = 0;
-    std::uint64_t quant = 0;
-  };
   std::vector<EncodeRun> runs;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
+    obs::Registry::global().reset_all();
     codec::EncoderConfig config;
     config.qp = 10;
     config.search.strategy = codec::SearchStrategy::kFullSearch;
@@ -487,34 +573,29 @@ TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
       run.bytes.insert(run.bytes.end(), frame.bytes.begin(),
                        frame.bytes.end());
     }
-    run.sad_ops = encoder.ops().sad_pixel_ops;
-    run.quant = encoder.ops().quant_coeffs;
+    run.ops = encoder.ops();
+    run.read_sad_counters();
     runs.push_back(std::move(run));
   }
   ASSERT_TRUE(codec::kernels::set_active(original));
 
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].bytes, runs[i].bytes) << "backend index " << i;
-    EXPECT_EQ(runs[0].sad_ops, runs[i].sad_ops);
-    EXPECT_EQ(runs[0].quant, runs[i].quant);
-  }
+  ASSERT_GT(runs[0].sad_early_exits, 0u);
+  expect_runs_identical(runs);
 }
 
 // Same digest contract through the other search shape: diamond descent
 // (batched neighbor sets) plus half-pel refinement (interpolating SAD
-// kernel), with the full OpCounters block compared — not just sad ops.
+// kernel).
 TEST(Kernels, EncoderDigestIdenticalAcrossBackendsDiamondHalfpel) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kGardenLike);
   const Backend original = codec::kernels::active_backend();
+  ScopedSadObs obs_on;
 
-  struct EncodeRun {
-    std::vector<std::uint8_t> bytes;
-    energy::OpCounters ops;
-  };
   std::vector<EncodeRun> runs;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
+    obs::Registry::global().reset_all();
     codec::EncoderConfig config;
     config.qp = 8;
     config.search.strategy = codec::SearchStrategy::kDiamondSearch;
@@ -531,16 +612,13 @@ TEST(Kernels, EncoderDigestIdenticalAcrossBackendsDiamondHalfpel) {
                        frame.bytes.end());
     }
     run.ops = encoder.ops();
+    run.read_sad_counters();
     runs.push_back(std::move(run));
   }
   ASSERT_TRUE(codec::kernels::set_active(original));
 
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].bytes, runs[i].bytes) << "backend index " << i;
-    EXPECT_EQ(0, std::memcmp(&runs[0].ops, &runs[i].ops,
-                             sizeof(energy::OpCounters)))
-        << "backend index " << i;
-  }
+  ASSERT_GT(runs[0].sad_early_exits, 0u);
+  expect_runs_identical(runs);
 }
 
 }  // namespace

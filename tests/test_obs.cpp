@@ -5,6 +5,7 @@
 // any sweep thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -235,15 +236,37 @@ TEST_F(GlobalObs, SnapshotCopiesAllMetricKindsSorted) {
   obs::histogram("snap.latency_ns").observe(300);
 
   obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "snap.alpha");  // sorted
-  EXPECT_EQ(snap.counters[1].first, "snap.zeta");
-  EXPECT_EQ(snap.counters[1].second, 2u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 0.25);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_EQ(snap.histograms[0].sum_ns, 300);
+  auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+  EXPECT_TRUE(std::is_sorted(snap.counters.begin(), snap.counters.end(),
+                             by_name));
+  EXPECT_TRUE(std::is_sorted(snap.gauges.begin(), snap.gauges.end(), by_name));
+
+  // reset_all() zeroes metrics but keeps their registrations, so metrics
+  // that earlier tests in the same process registered sit beside these.
+  auto is_snap = [](const std::string& name) {
+    return name.rfind("snap.", 0) == 0;
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  for (const auto& c : snap.counters) {
+    if (is_snap(c.first)) counters.push_back(c);
+  }
+  std::vector<std::pair<std::string, double>> gauges;
+  for (const auto& g : snap.gauges) {
+    if (is_snap(g.first)) gauges.push_back(g);
+  }
+  std::vector<obs::HistogramSnapshot> histograms;
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (is_snap(h.name)) histograms.push_back(h);
+  }
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].first, "snap.alpha");  // sorted
+  EXPECT_EQ(counters[1].first, "snap.zeta");
+  EXPECT_EQ(counters[1].second, 2u);
+  ASSERT_EQ(gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(gauges[0].second, 0.25);
+  ASSERT_EQ(histograms.size(), 1u);
+  EXPECT_EQ(histograms[0].count, 1u);
+  EXPECT_EQ(histograms[0].sum_ns, 300);
 }
 
 TEST(ObsTrace, DisabledSpansRecordNothing) {

@@ -2,7 +2,7 @@
 //
 // Verifies that every supported backend reproduces the scalar reference
 // bit-for-bit on every kernel in the dispatch table: SAD values, early-exit
-// row counts, batched-SAD lanes, half-pel phases, DCT/IDCT coefficients,
+// row counts, batched-SAD row tables, half-pel phases, DCT/IDCT coefficients,
 // quant levels and nonzero counts, MC predictions, and residual blocks.
 //
 // This is deliberately NOT a gtest binary: it is the smoke test the CI
@@ -48,9 +48,68 @@ void fail(const char* backend, const char* kernel, int trial) {
   ++g_failures;
 }
 
+// What the scalar cutoff loop returns for `cutoff`, read off a batched
+// kernel's per-row table: the first row whose running SAD reaches the
+// cutoff, or the full SAD after row 16.
+template <int N>
+bool exit_matches(const std::uint16_t (&rows)[16][N], int lane,
+                  std::int64_t cutoff, std::int64_t want_sad, int want_rows) {
+  int y = 0;
+  while (y < 15 && rows[y][lane] < cutoff) ++y;
+  return rows[y][lane] == want_sad && y + 1 == want_rows;
+}
+
+// The batched kernels' per-row contract: every table entry equals the
+// scalar kernel's, each lane yields sad_16x16_cutoff's (sad, rows) for
+// cutoffs from an instant exit to none at all, and the last row is the
+// full SAD.
+void check_batched(const KernelTable& scalar, const KernelTable& simd,
+                   const std::uint8_t* cur, int cur_stride,
+                   const std::uint8_t* const refs[8], int ref_stride,
+                   int trial) {
+  std::uint16_t want4[16][4], got4[16][4], want8[16][8], got8[16][8];
+  scalar.sad_16x16_x4(cur, cur_stride, refs, ref_stride, want4);
+  simd.sad_16x16_x4(cur, cur_stride, refs, ref_stride, got4);
+  scalar.sad_16x16_x8(cur, cur_stride, refs, ref_stride, want8);
+  simd.sad_16x16_x8(cur, cur_stride, refs, ref_stride, got8);
+  if (std::memcmp(want4, got4, sizeof(got4)) != 0) {
+    fail(simd.name, "sad_16x16_x4", trial);
+  }
+  if (std::memcmp(want8, got8, sizeof(got8)) != 0) {
+    fail(simd.name, "sad_16x16_x8", trial);
+  }
+  static constexpr std::int64_t kCutoffs[] = {-3, 0, 1, 500, 2000, 4000,
+                                              40000, 65280, 1'000'000};
+  for (int i = 0; i < 8; ++i) {
+    for (std::int64_t cutoff : kCutoffs) {
+      int rows = -1;
+      const std::int64_t sad = scalar.sad_16x16_cutoff(
+          cur, cur_stride, refs[i], ref_stride, cutoff, &rows);
+      if (!exit_matches(got8, i, cutoff, sad, rows)) {
+        fail(simd.name, "sad_16x16_x8 row table", trial);
+      }
+      if (i < 4 && !exit_matches(got4, i, cutoff, sad, rows)) {
+        fail(simd.name, "sad_16x16_x4 row table", trial);
+      }
+    }
+    const std::int64_t full =
+        scalar.sad_16x16(cur, cur_stride, refs[i], ref_stride);
+    if (got8[15][i] != full || (i < 4 && got4[15][i] != full)) {
+      fail(simd.name, "batched full SAD", trial);
+    }
+  }
+}
+
 void check_backend(const KernelTable& scalar, const KernelTable& simd) {
   const Field cur(1), ref(2);
   common::Pcg32 rng(3);
+
+  // All 0 against all 255 scores the largest SAD, 16 * 16 * 255 = 65280,
+  // the top of the 16-bit row table.
+  const std::vector<std::uint8_t> black(16 * 16, 0), white(16 * 16, 255);
+  const std::uint8_t* whites[8];
+  for (const std::uint8_t*& r : whites) r = white.data();
+  check_batched(scalar, simd, black.data(), 16, whites, 16, -1);
 
   for (int trial = 0; trial < 300; ++trial) {
     const int cx = rng.next_in_range(0, kStride - 17);
@@ -95,21 +154,12 @@ void check_backend(const KernelTable& scalar, const KernelTable& simd) {
     }
 
     const std::uint8_t* refs[8];
-    std::int64_t lane_want[8], lane4[4], lane8[8];
     for (int i = 0; i < 8; ++i) {
       refs[i] = ref.at((rx + 3 * i) % (kStride - 16),
                        (ry + 5 * i) % (kRows - 16));
-      lane_want[i] = scalar.sad_16x16(cur.at(cx, cy), kStride, refs[i],
-                                      kStride);
     }
-    simd.sad_16x16_x4(cur.at(cx, cy), kStride, refs, kStride, lane4);
-    simd.sad_16x16_x8(cur.at(cx, cy), kStride, refs, kStride, lane8);
-    for (int i = 0; i < 4; ++i) {
-      if (lane_want[i] != lane4[i]) fail(simd.name, "sad_16x16_x4", trial);
-    }
-    for (int i = 0; i < 8; ++i) {
-      if (lane_want[i] != lane8[i]) fail(simd.name, "sad_16x16_x8", trial);
-    }
+    check_batched(scalar, simd, cur.at(cx, cy), kStride, refs, kStride,
+                  trial);
 
     const int w = trial % 2 == 0 ? 16 : 8;
     std::uint8_t pred_want[16 * 16], pred_got[16 * 16];
