@@ -381,6 +381,7 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
         &obs::histogram("encoder.transform_quant_ns");
     static obs::Histogram* h_vlc = &obs::histogram("encoder.vlc_ns");
     static obs::Histogram* h_recon = &obs::histogram("encoder.recon_ns");
+    static obs::Gauge* g_intra_ratio = &obs::gauge("encoder.intra_mb_ratio");
     c_frames->add(1);
     if (intra_frame) c_frames_intra->add(1);
     c_mb_intra->add(intra);
@@ -395,8 +396,8 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
     h_recon->observe(recon_ns);
     // Last-frame intra ratio (the paper's Intra_Th lever in action);
     // gauges are stripped from deterministic output.
-    obs::gauge("encoder.intra_mb_ratio")
-        .set(static_cast<double>(intra) / static_cast<double>(mb_count));
+    g_intra_ratio->set(static_cast<double>(intra) /
+                       static_cast<double>(mb_count));
   }
 
   // Advance references for the next frame.

@@ -1,5 +1,7 @@
 #include "codec/motion_search.h"
 
+#include <cstring>
+
 #include "codec/kernels/kernels.h"
 #include "codec/mc.h"
 #include "codec/sad.h"
@@ -57,13 +59,18 @@ bool use_batched_sads() {
          kernels::Backend::kScalar;
 }
 
+// One u16 lane per staged candidate of a batch (an x4 batch uses the low
+// four). GCC/Clang vector extensions lower it to SSE2 on x86-64 and to NEON
+// on aarch64, so the replay needs no per-backend body.
+typedef std::uint16_t U16x8 __attribute__((vector_size(16)));
+
 // Scores full-pel candidates through the batched SAD kernels while
 // reproducing the sequential scalar search bit for bit.
 //
 // Candidates are staged in scalar evaluation order and scored eight (or
 // four) at a time with the multi-candidate kernels, which return every
 // candidate's running SAD after each block row. The staged batch is then
-// REPLAYED in order against the evolving best cost:
+// REPLAYED against the evolving best cost, all lanes at once:
 //
 //   - cutoff <= 0: the penalty alone disqualifies the candidate; the scalar
 //     path spent no SAD work and touched no counters, so neither does the
@@ -71,13 +78,20 @@ bool use_batched_sads() {
 //     model meters algorithmic work, not the machine's).
 //   - otherwise the scalar cutoff loop stops after the first row whose
 //     running sum reaches the cutoff and returns that sum, or completes all
-//     16 rows and returns the total. The per-row table holds exactly those
-//     running sums, so the replay reads the exit row and its value from it
-//     and meters them as the sequential cutoff path would.
+//     16 rows and returns the total. Running sums only grow, so with
+//     `below` = the number of rows under the cutoff, the loop reads
+//     min(below, 15) + 1 rows and returns rows[min(below, 15)]; and the
+//     candidate beats the best exactly when below == 16.
 //
-// Penalties are evaluated during the replay, after earlier candidates have
-// updated best.cost — identical to the scalar candidate loop. Batches may
-// span row boundaries of a full search; only the staging order matters.
+// One 16-row compare over the lanes therefore settles every lane up to and
+// including the first one that improves. That lane becomes the best and
+// the replay goes on from the next lane against the new cost, so a batch
+// costs one pass plus one per improvement, and its metering is one call.
+//
+// Each staged candidate's penalty is taken once, in staging order, before
+// the batch's best-cost updates: sound because a penalty is a pure
+// function of (mb_x, mb_y, mv) (MePenaltyFn). Batches may span row
+// boundaries of a full search; only the staging order matters.
 class BatchScorer {
  public:
   BatchScorer(const SearchContext& ctx, int mb_x, int mb_y, MotionResult& best)
@@ -125,24 +139,56 @@ class BatchScorer {
 
   template <int N>
   void replay_rows(const std::uint16_t (&rows)[16][N]) {
+    std::int64_t pen[8] = {};
     for (int i = 0; i < n_; ++i) {
-      const MotionVector mv = MotionVector::from_pixels(dx_[i], dy_[i]);
-      const std::int64_t pen = ctx_.penalty_of(mv, mb_x_, mb_y_);
-      const std::int64_t cutoff = best_.cost - pen;
-      ++best_.candidates;
-      if (cutoff <= 0) continue;
-      int y = 0;
-      while (y < 15 && rows[y][i] < cutoff) ++y;
-      const std::int64_t sad = rows[y][i];
-      meter_sad_rows(y + 1, *ctx_.ops);
-      const std::int64_t cost = sad + pen;
-      if (cost < best_.cost) {
-        best_.cost = cost;
-        best_.sad = sad;
-        best_.mv = mv;
+      pen[i] = ctx_.penalty_of(MotionVector::from_pixels(dx_[i], dy_[i]),
+                               mb_x_, mb_y_);
+    }
+    best_.candidates += static_cast<std::uint64_t>(n_);
+    std::uint64_t rows_read = 0, calls = 0, early = 0;
+    for (int first = 0; first < n_;) {
+      // Cutoffs against the current best. 0 marks a disqualified lane or
+      // one outside this pass; a cutoff past 0xFFFF clamps to it, which no
+      // running SAD (at most 65 280) reaches either way.
+      std::uint16_t cut[8] = {};
+      for (int i = first; i < n_; ++i) {
+        cut[i] = static_cast<std::uint16_t>(
+            common::clamp<std::int64_t>(best_.cost - pen[i], 0, 0xFFFF));
+      }
+      U16x8 cut_v = {};
+      std::memcpy(&cut_v, cut, sizeof(cut_v));
+      // Rows under each lane's cutoff: all 16, less one for every row at
+      // or past it (a true lane compare is all ones, i.e. -1).
+      U16x8 below_v = {16, 16, 16, 16, 16, 16, 16, 16};
+      for (int y = 0; y < 16; ++y) {
+        U16x8 r = {};
+        std::memcpy(&r, rows[y], sizeof(rows[y]));
+        below_v += (U16x8)(r >= cut_v);
+      }
+      std::uint16_t below[8] = {};
+      std::memcpy(below, &below_v, sizeof(below));
+
+      int last = first;  // the pass ends at the first improving lane
+      while (last < n_ - 1 && below[last] != 16) ++last;
+      for (int i = first; i <= last; ++i) {
+        if (cut[i] == 0) continue;
+        ++calls;
+        if (below[i] < 15) {
+          rows_read += below[i] + 1u;
+          ++early;
+        } else {
+          rows_read += 16;
+        }
+      }
+      if (below[last] == 16) {
+        best_.sad = rows[15][last];
+        best_.cost = best_.sad + pen[last];
+        best_.mv = MotionVector::from_pixels(dx_[last], dy_[last]);
         improved_ = true;
       }
+      first = last + 1;
     }
+    meter_sad_batch(rows_read, calls, early, *ctx_.ops);
   }
 
   const SearchContext& ctx_;

@@ -44,7 +44,11 @@ struct MotionSearchConfig {
 
 /// Extra cost (same scale as SAD) for predicting from `mv`'s reference
 /// region; receives the MB coordinates (in MB units) and the candidate in
-/// half-pel units.
+/// half-pel units. It must be a pure function of its arguments: the
+/// batched search takes the penalties of a whole batch of candidates
+/// before it replays that batch's best-cost updates (exactly one call per
+/// candidate either way), so a penalty that read the search's progress
+/// would diverge from the sequential reference.
 using MePenaltyFn =
     std::function<std::int64_t(int mb_x, int mb_y, MotionVector mv)>;
 

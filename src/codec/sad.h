@@ -9,19 +9,26 @@
 
 namespace pbpair::codec {
 
-/// Meters one 16x16 SAD that accumulated `rows` block rows (1..16): 16
-/// sad_pixel_ops per row and, while obs is on, one encoder.sad_calls tick
-/// plus an encoder.sad_early_exits tick when it stopped short of row 16.
-/// Every metered SAD path — single, cutoff and the batched motion-search
-/// replay — goes through here, so the counts cannot depend on which ran.
-inline void meter_sad_rows(int rows, energy::OpCounters& ops) {
-  ops.sad_pixel_ops += 16 * static_cast<std::uint64_t>(rows);
-  if (obs::enabled()) {
+/// Meters `calls` 16x16 SADs that accumulated `rows` block rows between
+/// them, `early` of which stopped short of row 16: 16 sad_pixel_ops per row
+/// and, while obs is on, one add each to encoder.sad_calls and
+/// encoder.sad_early_exits. Every metered SAD path — single, cutoff and the
+/// batched motion-search replay (once per batch) — goes through here, so
+/// the counts cannot depend on which ran.
+inline void meter_sad_batch(std::uint64_t rows, std::uint64_t calls,
+                            std::uint64_t early, energy::OpCounters& ops) {
+  ops.sad_pixel_ops += 16 * rows;
+  if (calls != 0 && obs::enabled()) {
     static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
     static obs::Counter* c_early = &obs::counter("encoder.sad_early_exits");
-    c_calls->add(1);
-    if (rows < 16) c_early->add(1);
+    c_calls->add(calls);
+    if (early != 0) c_early->add(early);
   }
+}
+
+/// Meters one 16x16 SAD that accumulated `rows` block rows (1..16).
+inline void meter_sad_rows(int rows, energy::OpCounters& ops) {
+  meter_sad_batch(static_cast<std::uint64_t>(rows), 1, rows < 16 ? 1 : 0, ops);
 }
 
 /// SAD between the 16x16 luma block of `cur` at (cx, cy) and the block of

@@ -4,15 +4,20 @@
 // deltas. Randomized over edge alignments, strides, and cutoff positions.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "codec/encoder.h"
 #include "codec/kernels/kernels.h"
 #include "codec/mc.h"
+#include "codec/motion_search.h"
 #include "codec/quant.h"
 #include "codec/sad.h"
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "sim/scheme.h"
@@ -546,29 +551,52 @@ void expect_runs_identical(const std::vector<EncodeRun>& runs) {
   }
 }
 
-// Strongest equivalence check: a short full-encoder run must produce the
-// same bitstream, the same operation counters and the same SAD obs counters
-// on every backend.
-TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
-  video::SyntheticSequence seq =
-      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+// The two policies the digest tests encode with: no ME penalty, and PBPAIR,
+// whose penalty the batched replay takes a whole batch at a time.
+std::vector<sim::SchemeSpec> digest_schemes() {
+  core::PbpairConfig pbpair;
+  pbpair.intra_th = 0.9;
+  pbpair.plr = 0.1;
+  return {sim::SchemeSpec::no_resilience(), sim::SchemeSpec::pbpair(pbpair)};
+}
+
+// True when the policy charges a penalty somewhere, i.e. some sigma < 1.
+bool penalty_live(const codec::RefreshPolicy& policy, int mb_cols,
+                  int mb_rows) {
+  if (!policy.has_me_penalty()) return false;
+  for (int my = 0; my < mb_rows; ++my) {
+    for (int mx = 0; mx < mb_cols; ++mx) {
+      if (policy.me_penalty(mx, my, codec::MotionVector{0, 0}) > 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Encodes `frames` frames of `seq` under `scheme` on every backend and
+// expects the same bitstream, the same operation counters and the same SAD
+// obs counters from each.
+void expect_encodes_identical(const video::SyntheticSequence& seq, int frames,
+                              const codec::EncoderConfig& config,
+                              const sim::SchemeSpec& scheme) {
+  SCOPED_TRACE(scheme.label());
+  const int mb_cols = config.width / 16;
+  const int mb_rows = config.height / 16;
   const Backend original = codec::kernels::active_backend();
   ScopedSadObs obs_on;
 
   std::vector<EncodeRun> runs;
+  bool penalized = false;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
     obs::Registry::global().reset_all();
-    codec::EncoderConfig config;
-    config.qp = 10;
-    config.search.strategy = codec::SearchStrategy::kFullSearch;
-    config.search.range = 7;
-    std::unique_ptr<codec::RefreshPolicy> policy = sim::make_policy(
-        sim::SchemeSpec::no_resilience(), config.width / 16,
-        config.height / 16);
+    std::unique_ptr<codec::RefreshPolicy> policy =
+        sim::make_policy(scheme, mb_cols, mb_rows);
     codec::Encoder encoder(config, policy.get());
     EncodeRun run;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < frames; ++i) {
+      if (i > 0) penalized |= penalty_live(*policy, mb_cols, mb_rows);
       codec::EncodedFrame frame = encoder.encode_frame(seq.frame_at(i));
       run.bytes.insert(run.bytes.end(), frame.bytes.begin(),
                        frame.bytes.end());
@@ -580,7 +608,23 @@ TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
   ASSERT_TRUE(codec::kernels::set_active(original));
 
   ASSERT_GT(runs[0].sad_early_exits, 0u);
+  EXPECT_EQ(penalized, scheme.kind == sim::SchemeKind::kPbpair);
   expect_runs_identical(runs);
+}
+
+// Strongest equivalence check: a short full-encoder run must produce the
+// same bitstream, the same operation counters and the same SAD obs counters
+// on every backend, with and without PBPAIR's ME penalty.
+TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  codec::EncoderConfig config;
+  config.qp = 10;
+  config.search.strategy = codec::SearchStrategy::kFullSearch;
+  config.search.range = 7;
+  for (const sim::SchemeSpec& scheme : digest_schemes()) {
+    expect_encodes_identical(seq, 4, config, scheme);
+  }
 }
 
 // Same digest contract through the other search shape: diamond descent
@@ -589,36 +633,200 @@ TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
 TEST(Kernels, EncoderDigestIdenticalAcrossBackendsDiamondHalfpel) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kGardenLike);
+  codec::EncoderConfig config;
+  config.qp = 8;
+  config.search.strategy = codec::SearchStrategy::kDiamondSearch;
+  config.search.range = 15;
+  config.search.half_pel = true;
+  for (const sim::SchemeSpec& scheme : digest_schemes()) {
+    expect_encodes_identical(seq, 5, config, scheme);
+  }
+}
+
+// A 64x48 frame pair (4x3 MBs, so most MBs sit on an edge or a corner).
+struct SearchFrames {
+  const char* name;
+  video::Plane cur{64, 48};
+  video::Plane ref{64, 48};
+};
+
+// Content aimed at the batched replay's edge cases.
+std::vector<SearchFrames> adversarial_frames() {
+  std::vector<SearchFrames> frames(4);
+  common::Pcg32 rng(90);
+  auto noise = [&rng] {
+    return static_cast<std::uint8_t>(rng.next_below(256));
+  };
+  // Noise, and the same noise moved by (3, 2) plus a little more noise:
+  // the search improves a few times, then mostly exits early.
+  frames[0].name = "shifted noise";
+  for (std::uint8_t& p : frames[0].cur.data()) p = noise();
+  for (int y = 0; y < 48; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      const int jitter = rng.next_in_range(-8, 8);
+      const int v = frames[0].cur.at_clamped(x - 3, y - 2) + jitter;
+      frames[0].ref.set(x, y, common::clamp_pixel(v));
+    }
+  }
+  // A flat reference under blocks whose lower eight rows match it: every
+  // candidate scores the same running sums, which stop growing after row 8,
+  // so with no zero-vector bias each one ties the best exactly, both in
+  // full and at its early-exit row.
+  frames[1].name = "exact ties";
+  frames[1].ref.fill(128);
+  frames[1].cur.fill(128);
+  for (int y = 0; y < 48; ++y) {
+    if (y % 16 >= 8) continue;
+    for (int x = 0; x < 64; ++x) frames[1].cur.set(x, y, noise());
+  }
+  // All 0 against all 255: every SAD is 65280, so a penalized zero vector
+  // puts the first cutoffs above 65535.
+  frames[2].name = "black on white";
+  frames[2].ref.fill(255);
+  // Brighter down and to the right against a white block: the SAD falls
+  // along raster order, so candidates improve several times per batch.
+  frames[3].name = "raster gradient";
+  frames[3].cur.fill(255);
+  for (int y = 0; y < 48; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      frames[3].ref.set(x, y, static_cast<std::uint8_t>(4 * y + x / 4));
+    }
+  }
+  return frames;
+}
+
+// Every odd column is out before any SAD work (cutoff <= 0): the alternate
+// lanes of a full-search batch.
+std::int64_t odd_columns_out(int, int, codec::MotionVector mv) {
+  return (codec::halfpel_floor(mv.x) & 1) != 0 ? std::int64_t{1} << 20 : 0;
+}
+
+// A heavy zero vector: the first cutoffs exceed the 16-bit row table.
+std::int64_t heavy_zero_vector(int, int, codec::MotionVector mv) {
+  return mv.x == 0 && mv.y == 0 ? 5000 : 0;
+}
+
+std::int64_t vector_length(int mb_x, int, codec::MotionVector mv) {
+  return (3 + mb_x) * (std::abs(mv.x) + std::abs(mv.y));
+}
+
+struct NamedPenalty {
+  const char* name;
+  codec::MePenaltyFn fn;
+};
+
+std::vector<NamedPenalty> adversarial_penalties() {
+  std::vector<NamedPenalty> penalties;
+  penalties.push_back({"no penalty", nullptr});
+  penalties.push_back({"odd columns out", odd_columns_out});
+  penalties.push_back({"heavy zero vector", heavy_zero_vector});
+  penalties.push_back({"vector length", vector_length});
+  return penalties;
+}
+
+std::vector<codec::MotionSearchConfig> adversarial_configs() {
+  std::vector<codec::MotionSearchConfig> configs;
+  for (std::int64_t bias : {0, 100}) {
+    // Ranges 1..7 at corners and edges leave partial batches of 1..7.
+    for (int range = 1; range <= 7; ++range) {
+      codec::MotionSearchConfig full;
+      full.strategy = codec::SearchStrategy::kFullSearch;
+      full.range = range;
+      full.half_pel = false;
+      full.zero_mv_bias = bias;
+      configs.push_back(full);
+    }
+    for (bool half_pel : {false, true}) {
+      codec::MotionSearchConfig diamond;
+      diamond.strategy = codec::SearchStrategy::kDiamondSearch;
+      diamond.range = 15;
+      diamond.half_pel = half_pel;
+      diamond.zero_mv_bias = bias;
+      configs.push_back(diamond);
+    }
+  }
+  return configs;
+}
+
+std::string describe(const char* frames, const char* penalty,
+                     const codec::MotionSearchConfig& config, int mb) {
+  const bool full = config.strategy == codec::SearchStrategy::kFullSearch;
+  std::string s = std::string(frames) + ", " + penalty;
+  s += full ? ", full range " : ", diamond range ";
+  s += std::to_string(config.range);
+  if (config.half_pel) s += " half-pel";
+  s += " bias " + std::to_string(config.zero_mv_bias);
+  s += ", mb " + std::to_string(mb);
+  return s;
+}
+
+// One search's outcome: the result fields, its operation counters and the
+// obs SAD counters so far.
+struct SearchOutcome {
+  std::string where;
+  codec::MotionResult result;
+  energy::OpCounters ops;
+  std::uint64_t sad_calls = 0;
+  std::uint64_t sad_early_exits = 0;
+};
+
+// Every adversarial search on the active backend, in a fixed order.
+std::vector<SearchOutcome> run_adversarial_searches() {
+  obs::Registry::global().reset_all();
+  obs::Counter& calls = obs::counter("encoder.sad_calls");
+  obs::Counter& early = obs::counter("encoder.sad_early_exits");
+  std::vector<SearchOutcome> run;
+  for (const SearchFrames& f : adversarial_frames()) {
+    for (const NamedPenalty& penalty : adversarial_penalties()) {
+      for (const codec::MotionSearchConfig& config : adversarial_configs()) {
+        for (int mb = 0; mb < 12; ++mb) {
+          SearchOutcome out;
+          out.where = describe(f.name, penalty.name, config, mb);
+          out.result = codec::search_motion(f.cur, f.ref, mb % 4, mb / 4,
+                                            config, penalty.fn, out.ops);
+          out.sad_calls = calls.value();
+          out.sad_early_exits = early.value();
+          run.push_back(std::move(out));
+        }
+      }
+    }
+  }
+  return run;
+}
+
+// search_motion on every backend against the scalar reference, on content
+// and penalties built to reach the batched replay's edge cases: lanes the
+// penalty disqualifies, exact ties (strict `<` keeps the first best),
+// cutoffs past 65535, several improvements inside one batch, and partial
+// batches of 1..7 lanes.
+TEST(Kernels, SearchMotionIdenticalAcrossBackendsAdversarial) {
   const Backend original = codec::kernels::active_backend();
   ScopedSadObs obs_on;
-
-  std::vector<EncodeRun> runs;
+  std::vector<std::vector<SearchOutcome>> runs;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
-    obs::Registry::global().reset_all();
-    codec::EncoderConfig config;
-    config.qp = 8;
-    config.search.strategy = codec::SearchStrategy::kDiamondSearch;
-    config.search.range = 15;
-    config.search.half_pel = true;
-    std::unique_ptr<codec::RefreshPolicy> policy = sim::make_policy(
-        sim::SchemeSpec::no_resilience(), config.width / 16,
-        config.height / 16);
-    codec::Encoder encoder(config, policy.get());
-    EncodeRun run;
-    for (int i = 0; i < 5; ++i) {
-      codec::EncodedFrame frame = encoder.encode_frame(seq.frame_at(i));
-      run.bytes.insert(run.bytes.end(), frame.bytes.begin(),
-                       frame.bytes.end());
-    }
-    run.ops = encoder.ops();
-    run.read_sad_counters();
-    runs.push_back(std::move(run));
+    runs.push_back(run_adversarial_searches());
   }
   ASSERT_TRUE(codec::kernels::set_active(original));
 
-  ASSERT_GT(runs[0].sad_early_exits, 0u);
-  expect_runs_identical(runs);
+  for (std::size_t b = 1; b < runs.size(); ++b) {
+    ASSERT_EQ(runs[0].size(), runs[b].size());
+    for (std::size_t k = 0; k < runs[0].size(); ++k) {
+      const SearchOutcome& want = runs[0][k];
+      const SearchOutcome& got = runs[b][k];
+      SCOPED_TRACE(want.where + ", backend index " + std::to_string(b));
+      ASSERT_EQ(want.result.mv.x, got.result.mv.x);
+      ASSERT_EQ(want.result.mv.y, got.result.mv.y);
+      ASSERT_EQ(want.result.sad, got.result.sad);
+      ASSERT_EQ(want.result.sad_zero, got.result.sad_zero);
+      ASSERT_EQ(want.result.cost, got.result.cost);
+      ASSERT_EQ(want.result.candidates, got.result.candidates);
+      ASSERT_EQ(0, std::memcmp(&want.ops, &got.ops,
+                               sizeof(energy::OpCounters)));
+      ASSERT_EQ(want.sad_calls, got.sad_calls);
+      ASSERT_EQ(want.sad_early_exits, got.sad_early_exits);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 // bit-for-bit on every kernel in the dispatch table: SAD values, early-exit
 // row counts, batched-SAD row tables, half-pel phases, DCT/IDCT coefficients,
 // quant levels and nonzero counts, MC predictions, and residual blocks.
+// It then runs codec::search_motion on every backend against the scalar
+// backend's sequential search (full search +/-7, diamond +/-15 with half-pel,
+// each with and without a penalty) and compares the results and the
+// OpCounters, so the batched lane replay and its vector lowering (NEON on
+// aarch64) are checked wherever this binary runs.
 //
 // This is deliberately NOT a gtest binary: it is the smoke test the CI
 // aarch64 cross-compile job runs under qemu-user, where only the standard
@@ -11,12 +16,17 @@
 // mode, so the same binary guards native runs too. Exit 0 = all backends
 // bit-identical; exit 1 = mismatch (details on stdout).
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "codec/kernels/kernels.h"
+#include "codec/motion_search.h"
 #include "codec/quant.h"
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "energy/op_counters.h"
+#include "video/frame.h"
 
 using namespace pbpair;
 using codec::kernels::Backend;
@@ -227,10 +237,97 @@ void check_backend(const KernelTable& scalar, const KernelTable& simd) {
   }
 }
 
+// One search_motion call's outcome.
+struct Search {
+  codec::MotionResult result;
+  energy::OpCounters ops;
+};
+
+// Every search of the motion block on the active backend, in a fixed order.
+// Two 64x48 frame pairs: noise the search can track (moved by (3, 2), plus
+// a little noise), and a flat reference under blocks whose lower half
+// matches it, where every candidate ties the best exactly. The penalty
+// disqualifies every odd column before any SAD work and charges the rest
+// by vector length.
+std::vector<Search> run_searches(Backend backend) {
+  codec::kernels::set_active(backend);
+  common::Pcg32 rng(4);
+  video::Plane cur(64, 48), ref(64, 48);
+  video::Plane tie_cur(64, 48, 128), tie_ref(64, 48, 128);
+  for (int y = 0; y < 48; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      cur.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+      if (y % 16 < 8) {
+        tie_cur.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+      }
+    }
+  }
+  for (int y = 0; y < 48; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      const int jitter = rng.next_in_range(-8, 8);
+      ref.set(x, y, common::clamp_pixel(cur.at_clamped(x - 3, y - 2) + jitter));
+    }
+  }
+  const codec::MePenaltyFn penalty = [](int, int, codec::MotionVector mv) {
+    if ((codec::halfpel_floor(mv.x) & 1) != 0) return std::int64_t{1} << 20;
+    return std::int64_t{4} * (std::abs(mv.x) + std::abs(mv.y));
+  };
+  const codec::MePenaltyFn none;
+
+  codec::MotionSearchConfig full;
+  full.strategy = codec::SearchStrategy::kFullSearch;
+  full.range = 7;
+  full.half_pel = false;
+  codec::MotionSearchConfig diamond;
+  diamond.strategy = codec::SearchStrategy::kDiamondSearch;
+  diamond.range = 15;
+  diamond.half_pel = true;
+
+  std::vector<Search> searches;
+  const video::Plane* pairs[2][2] = {{&cur, &ref}, {&tie_cur, &tie_ref}};
+  for (const auto& pair : pairs) {
+    for (codec::MotionSearchConfig config : {full, diamond}) {
+      // Without the zero-vector bias the tie frames tie exactly.
+      for (std::int64_t bias : {0, 100}) {
+        config.zero_mv_bias = bias;
+        for (const codec::MePenaltyFn* fn : {&none, &penalty}) {
+          for (int mb = 0; mb < 12; ++mb) {
+            Search s;
+            s.result = codec::search_motion(*pair[0], *pair[1], mb % 4,
+                                            mb / 4, config, *fn, s.ops);
+            searches.push_back(s);
+          }
+        }
+      }
+    }
+  }
+  return searches;
+}
+
+void check_motion_search(const std::vector<Search>& want, Backend backend,
+                         const char* name) {
+  const std::vector<Search> got = run_searches(backend);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const codec::MotionResult& a = want[i].result;
+    const codec::MotionResult& b = got[i].result;
+    if (a.mv.x != b.mv.x || a.mv.y != b.mv.y || a.sad != b.sad ||
+        a.sad_zero != b.sad_zero || a.cost != b.cost ||
+        a.candidates != b.candidates) {
+      fail(name, "search_motion result", static_cast<int>(i));
+    }
+    if (std::memcmp(&want[i].ops, &got[i].ops, sizeof(energy::OpCounters)) !=
+        0) {
+      fail(name, "search_motion OpCounters", static_cast<int>(i));
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
   const KernelTable& scalar = codec::kernels::scalar_table();
+  const Backend original = codec::kernels::active_backend();
+  const std::vector<Search> reference = run_searches(Backend::kScalar);
   for (Backend backend : codec::kernels::supported_backends()) {
     const KernelTable* table = codec::kernels::table_for(backend);
     if (table == nullptr) {
@@ -241,9 +338,11 @@ int main() {
     if (backend == Backend::kScalar) continue;
     const int before = g_failures;
     check_backend(scalar, *table);
+    check_motion_search(reference, backend, table->name);
     std::printf("%-8s %s\n", table->name,
                 g_failures == before ? "bit-identical to scalar" : "FAILED");
   }
+  codec::kernels::set_active(original);
   if (codec::kernels::supported_backends().size() == 1) {
     std::printf("scalar backend only on this machine; dispatch sanity ok\n");
   }
