@@ -10,7 +10,6 @@
 #include "codec/quant.h"
 #include "codec/vlc_tables.h"
 #include "common/math_util.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pbpair::codec {
@@ -33,6 +32,8 @@ void Decoder::reset() {
   std::fill(mv_field_.begin(), mv_field_.end(), MotionVector{});
   ops_.reset();
   concealed_mbs_ = 0;
+  corrupt_gobs_ = 0;
+  truncated_gobs_ = 0;
 }
 
 void Decoder::conceal_mb(int mb_x, int mb_y) {
@@ -89,10 +90,6 @@ void Decoder::conceal_mb(int mb_x, int mb_y) {
       break;
   }
   ++concealed_mbs_;
-  if (obs::enabled()) {
-    static obs::Counter* c = &obs::counter("decoder.concealed_mbs");
-    c->add(1);
-  }
 }
 
 void Decoder::conceal_row(int mb_y) {
@@ -215,10 +212,7 @@ void Decoder::decode_span(const ReceivedFrame::GobSpan& span, FrameType type,
     if (!reader.get_bits(8, &header)) return;
     if (static_cast<int>(header) != gob) {
       // Sync mismatch: the span is corrupt from here on; stop parsing it.
-      if (obs::enabled()) {
-        static obs::Counter* c = &obs::counter("decoder.corrupt_gobs");
-        c->add(1);
-      }
+      ++corrupt_gobs_;
       return;
     }
     MotionVector mv_predictor{};  // differential-MV state resets per GOB
@@ -226,10 +220,7 @@ void Decoder::decode_span(const ReceivedFrame::GobSpan& span, FrameType type,
       if (!decode_mb(reader, type, qp, mx, gob, &mv_predictor)) {
         // Parse failure mid-GOB: conceal the rest of this row and give up
         // on the span (we lost entropy-coder sync).
-        if (obs::enabled()) {
-          static obs::Counter* c = &obs::counter("decoder.truncated_gobs");
-          c->add(1);
-        }
+        ++truncated_gobs_;
         for (int cx = mx; cx < mb_cols; ++cx) conceal_mb(cx, gob);
         (*row_done)[gob] = 1;
         return;
@@ -249,12 +240,6 @@ const video::YuvFrame& Decoder::decode_frame(const ReceivedFrame& received) {
   const int qp = common::clamp(received.qp, kMinQp, kMaxQp);
 
   obs::ScopedSpan span_("decoder.decode_frame", received.frame_index, "frame");
-  if (obs::enabled()) {
-    static obs::Counter* c_frames = &obs::counter("decoder.frames");
-    static obs::Counter* c_lost = &obs::counter("decoder.lost_frames");
-    c_frames->add(1);
-    if (!received.any_data) c_lost->add(1);
-  }
 
   if (received.any_data) {
     for (const ReceivedFrame::GobSpan& span : received.spans) {

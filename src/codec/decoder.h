@@ -63,6 +63,10 @@ class Decoder {
 
   /// Count of MBs concealed so far (lost GOBs and parse failures).
   std::uint64_t concealed_mbs() const { return concealed_mbs_; }
+  /// GOB spans abandoned so far at a GOB header that did not match.
+  std::uint64_t corrupt_gobs() const { return corrupt_gobs_; }
+  /// GOBs cut short so far by an MB that failed to parse.
+  std::uint64_t truncated_gobs() const { return truncated_gobs_; }
 
   void reset();
 
@@ -86,6 +90,8 @@ class Decoder {
   std::vector<MotionVector> mv_field_;
   energy::OpCounters ops_;
   std::uint64_t concealed_mbs_ = 0;
+  std::uint64_t corrupt_gobs_ = 0;
+  std::uint64_t truncated_gobs_ = 0;
 };
 
 }  // namespace pbpair::codec

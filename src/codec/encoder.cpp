@@ -219,7 +219,7 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
   const int mb_rows = frame.mb_rows();
   const int mb_count = mb_cols * mb_rows;
 
-  // Observability: spans/counters/stage clocks only READ — they never feed
+  // Observability: spans and stage clocks only READ — they never feed
   // back into coding decisions, so the bitstream is byte-identical with
   // tracing on or off (tests/test_obs.cpp holds this invariant).
   const bool tracing = obs::enabled();
@@ -354,50 +354,17 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
   policy_->on_frame_encoded(info);
 
   if (tracing) {
-    std::uint64_t intra = 0, inter = 0, skip = 0, me_skipped = 0,
-                  me_searched = 0;
-    for (const MbEncodeRecord& record : out.mb_records) {
-      switch (record.mode) {
-        case MbMode::kIntra: ++intra; break;
-        case MbMode::kInter: ++inter; break;
-        case MbMode::kSkip: ++skip; break;
-      }
-      if (record.pre_me_intra) ++me_skipped;
-      if (record.sad_mv >= 0) ++me_searched;
-    }
-    // Registry lookups are mutex-guarded; cache the handles (stable for
-    // the process lifetime) so the per-frame flush stays cheap.
-    static obs::Counter* c_frames = &obs::counter("encoder.frames");
-    static obs::Counter* c_frames_intra = &obs::counter("encoder.frames_intra");
-    static obs::Counter* c_mb_intra = &obs::counter("encoder.mb_intra");
-    static obs::Counter* c_mb_inter = &obs::counter("encoder.mb_inter");
-    static obs::Counter* c_mb_skip = &obs::counter("encoder.mb_skip");
-    static obs::Counter* c_me_skipped = &obs::counter("encoder.mb_me_skipped");
-    static obs::Counter* c_me_searched =
-        &obs::counter("encoder.mb_me_searched");
-    static obs::Counter* c_bits = &obs::counter("encoder.bits_written");
+    // Stage timings only: StreamSession publishes the frame's counts from
+    // ops_ (DESIGN.md §8). Handles are cached; registry lookups lock.
     static obs::Histogram* h_me = &obs::histogram("encoder.me_ns");
     static obs::Histogram* h_transform =
         &obs::histogram("encoder.transform_quant_ns");
     static obs::Histogram* h_vlc = &obs::histogram("encoder.vlc_ns");
     static obs::Histogram* h_recon = &obs::histogram("encoder.recon_ns");
-    static obs::Gauge* g_intra_ratio = &obs::gauge("encoder.intra_mb_ratio");
-    c_frames->add(1);
-    if (intra_frame) c_frames_intra->add(1);
-    c_mb_intra->add(intra);
-    c_mb_inter->add(inter);
-    c_mb_skip->add(skip);
-    c_me_skipped->add(me_skipped);
-    c_me_searched->add(me_searched);
-    c_bits->add(static_cast<std::uint64_t>(out.bytes.size()) * 8);
     if (!intra_frame) h_me->observe(me_ns);
     h_transform->observe(transform_ns);
     h_vlc->observe(vlc_ns);
     h_recon->observe(recon_ns);
-    // Last-frame intra ratio (the paper's Intra_Th lever in action);
-    // gauges are stripped from deterministic output.
-    g_intra_ratio->set(static_cast<double>(intra) /
-                       static_cast<double>(mb_count));
   }
 
   // Advance references for the next frame.

@@ -4,26 +4,20 @@
 #include <cstdint>
 
 #include "energy/op_counters.h"
-#include "obs/metrics.h"
 #include "video/frame.h"
 
 namespace pbpair::codec {
 
 /// Meters `calls` 16x16 SADs that accumulated `rows` block rows between
-/// them, `early` of which stopped short of row 16: 16 sad_pixel_ops per row
-/// and, while obs is on, one add each to encoder.sad_calls and
-/// encoder.sad_early_exits. Every metered SAD path — single, cutoff and the
-/// batched motion-search replay (once per batch) — goes through here, so
-/// the counts cannot depend on which ran.
+/// them, `early` of which stopped short of row 16: 16 sad_pixel_ops per row,
+/// plus `calls` and `early` in sad_calls and sad_early_exits. Every metered
+/// SAD path — single, cutoff and the batched motion-search replay (once per
+/// batch) — goes through here, so the counts cannot depend on which ran.
 inline void meter_sad_batch(std::uint64_t rows, std::uint64_t calls,
                             std::uint64_t early, energy::OpCounters& ops) {
   ops.sad_pixel_ops += 16 * rows;
-  if (calls != 0 && obs::enabled()) {
-    static obs::Counter* c_calls = &obs::counter("encoder.sad_calls");
-    static obs::Counter* c_early = &obs::counter("encoder.sad_early_exits");
-    c_calls->add(calls);
-    if (early != 0) c_early->add(early);
-  }
+  ops.sad_calls += calls;
+  ops.sad_early_exits += early;
 }
 
 /// Meters one 16x16 SAD that accumulated `rows` block rows (1..16).

@@ -86,6 +86,12 @@ struct ReceivedFrame {
     common::BufferRef bytes;
   };
   std::vector<GobSpan> spans;
+
+  // Packets the depacketizer dropped while assembling this frame: wrong
+  // timestamp, orphan continuation, FEC repair with no FEC decoder.
+  std::uint32_t dropped_bad_header = 0;
+  std::uint32_t dropped_orphan_continuation = 0;
+  std::uint32_t dropped_stray_fec = 0;
 };
 
 }  // namespace pbpair::codec

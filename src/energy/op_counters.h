@@ -41,6 +41,11 @@ struct OpCounters {
   std::uint64_t skip_mbs = 0;
   std::uint64_t frames = 0;
 
+  // 16x16 SADs metered (codec/sad.h) and how many of them stopped before
+  // the last block row. Reporting only: the energy is in sad_pixel_ops.
+  std::uint64_t sad_calls = 0;
+  std::uint64_t sad_early_exits = 0;
+
   OpCounters& operator+=(const OpCounters& other) {
     sad_pixel_ops += other.sad_pixel_ops;
     sad_halfpel_ops += other.sad_halfpel_ops;
@@ -56,6 +61,8 @@ struct OpCounters {
     inter_mbs += other.inter_mbs;
     skip_mbs += other.skip_mbs;
     frames += other.frames;
+    sad_calls += other.sad_calls;
+    sad_early_exits += other.sad_early_exits;
     return *this;
   }
 

@@ -1,7 +1,6 @@
 #include "net/channel.h"
 
 #include <chrono>
-#include <string>
 
 #include "common/check.h"
 #include "obs/log.h"
@@ -14,7 +13,7 @@ Channel::Channel(LossModel* loss) : loss_(loss) { PB_CHECK(loss != nullptr); }
 std::vector<Packet> Channel::transmit(const std::vector<Packet>& packets) {
   std::vector<Packet> delivered;
   delivered.reserve(packets.size());
-  std::uint64_t sent = 0, dropped = 0, bytes = 0;
+  std::uint64_t dropped = 0;
   // Per-packet wire-path timing, cheap enough (log2-bucket histogram) to
   // stay on in production builds. Deterministic reports strip all *_ns
   // series, so this never perturbs byte-identity.
@@ -29,8 +28,6 @@ std::vector<Packet> Channel::transmit(const std::vector<Packet>& packets) {
                           : std::chrono::steady_clock::time_point();
     stats_.packets_sent += 1;
     stats_.bytes_sent += packet.wire_size();
-    ++sent;
-    bytes += packet.wire_size();
     if (loss_->should_drop(packet)) {
       stats_.packets_dropped += 1;
       ++dropped;
@@ -57,25 +54,7 @@ std::vector<Packet> Channel::transmit(const std::vector<Packet>& packets) {
   if (dropped > 0) {
     PB_LOG_DEBUG("channel %s dropped %llu/%llu packets", loss_->name(),
                  static_cast<unsigned long long>(dropped),
-                 static_cast<unsigned long long>(sent));
-  }
-  if (obs::enabled() && sent > 0) {
-    static obs::Counter* c_sent = &obs::counter("net.packets_sent");
-    static obs::Counter* c_dropped = &obs::counter("net.packets_dropped");
-    static obs::Counter* c_bytes = &obs::counter("net.bytes_sent");
-    c_sent->add(sent);
-    c_bytes->add(bytes);
-    if (dropped > 0) {
-      c_dropped->add(dropped);
-      // Per-model drop attribution, e.g. net.packets_dropped.gilbert-elliott.
-      // Resolved once per channel (one map lookup), then each add() is a
-      // lock-free bump on the calling thread's shard.
-      if (drop_counter_ == nullptr) {
-        drop_counter_ =
-            &obs::counter(std::string("net.packets_dropped.") + loss_->name());
-      }
-      drop_counter_->add(dropped);
-    }
+                 static_cast<unsigned long long>(packets.size()));
   }
   return delivered;
 }

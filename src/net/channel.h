@@ -9,10 +9,6 @@
 #include "net/loss_model.h"
 #include "net/packet.h"
 
-namespace pbpair::obs {
-class Counter;
-}
-
 namespace pbpair::net {
 
 struct ChannelStats {
@@ -37,15 +33,12 @@ class Channel {
   std::vector<Packet> transmit(const std::vector<Packet>& packets);
 
   const ChannelStats& stats() const { return stats_; }
+  const LossModel& loss() const { return *loss_; }
   void reset();
 
  private:
   LossModel* loss_;
   ChannelStats stats_;
-  // Cached handle for the per-model drop counter (the name depends on
-  // loss_->name(), so it cannot be a function-local static). Looked up
-  // once; each add() then lands lock-free on the calling thread's shard.
-  obs::Counter* drop_counter_ = nullptr;
 };
 
 }  // namespace pbpair::net

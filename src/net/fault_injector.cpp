@@ -1,6 +1,5 @@
 #include "net/fault_injector.h"
 
-#include "obs/metrics.h"
 
 namespace pbpair::net {
 namespace {
@@ -11,18 +10,6 @@ constexpr std::uint64_t kFaultStream = 0xFA01'7D05'2005'0001ULL;
 
 }  // namespace
 
-// Per-site cached-handle counter bump: the function-local static resolves
-// the name once, then add() is a lock-free bump on the calling thread's
-// shard. A macro so each expansion gets its own static (a shared helper
-// would redo the registry map lookup on every call).
-#define PB_BUMP(name, n)                                     \
-  do {                                                       \
-    const std::uint64_t pb_bump_n_ = (n);                    \
-    if (pb_bump_n_ > 0 && obs::enabled()) {                  \
-      static obs::Counter* pb_bump_c_ = &obs::counter(name); \
-      pb_bump_c_->add(pb_bump_n_);                           \
-    }                                                        \
-  } while (0)
 
 FaultInjector::FaultInjector(const FaultInjectorConfig& config)
     : config_(config), rng_(config.seed, kFaultStream) {}
@@ -44,16 +31,13 @@ bool FaultInjector::damage_packet(Packet* packet) {
   std::vector<std::uint8_t> wire = serialize_packet(*packet);
   common::ledger_copied(packet->payload.size());
   common::ledger_legacy(packet->payload.size());
-  std::uint64_t bits_flipped = 0;
-  std::uint64_t headers_corrupted = 0;
-  std::uint64_t payloads_truncated = 0;
 
   if (corrupt_header) {
     const std::uint32_t byte = rng_.next_below(kHeaderWireSize);
     const std::uint8_t mask =
         static_cast<std::uint8_t>(1 + rng_.next_below(255));
     wire[byte] ^= mask;
-    ++headers_corrupted;
+    stats_.headers_corrupted += 1;
   }
   if (flip_bits && wire.size() > kHeaderWireSize) {
     const int flips = 1 + static_cast<int>(rng_.next_below(static_cast<
@@ -64,7 +48,7 @@ bool FaultInjector::damage_packet(Packet* packet) {
       const std::uint32_t bit = rng_.next_below(payload_bits);
       wire[kHeaderWireSize + bit / 8] ^=
           static_cast<std::uint8_t>(1u << (bit % 8));
-      ++bits_flipped;
+      stats_.bits_flipped += 1;
     }
   }
   if (truncate) {
@@ -73,15 +57,8 @@ bool FaultInjector::damage_packet(Packet* packet) {
     const std::size_t keep = rng_.next_below(
         static_cast<std::uint32_t>(wire.size()));
     wire.resize(keep);
-    ++payloads_truncated;
+    stats_.payloads_truncated += 1;
   }
-
-  stats_.bits_flipped += bits_flipped;
-  stats_.headers_corrupted += headers_corrupted;
-  stats_.payloads_truncated += payloads_truncated;
-  PB_BUMP("net.fault.bits_flipped", bits_flipped);
-  PB_BUMP("net.fault.headers_corrupted", headers_corrupted);
-  PB_BUMP("net.fault.payloads_truncated", payloads_truncated);
 
   Packet damaged;
   common::ledger_legacy(wire.size() > kHeaderWireSize
@@ -89,7 +66,6 @@ bool FaultInjector::damage_packet(Packet* packet) {
                             : 0);
   if (!parse_packet(wire, &damaged, config_.expect_crc)) {
     stats_.packets_dropped_unparseable += 1;
-    PB_BUMP("net.fault.dropped_unparseable", 1);
     return false;
   }
   *packet = std::move(damaged);
@@ -105,7 +81,6 @@ std::vector<Packet> FaultInjector::apply(std::vector<Packet> packets) {
     if (!damage_packet(&packet)) continue;
     if (duplicate) {
       stats_.packets_duplicated += 1;
-      PB_BUMP("net.fault.packets_duplicated", 1);
       common::ledger_legacy(packet.payload.size());
       out.push_back(packet);  // twin shares the payload ref
     }
@@ -117,7 +92,6 @@ std::vector<Packet> FaultInjector::apply(std::vector<Packet> packets) {
     if (rng_.next_bernoulli(config_.p_reorder)) {
       std::swap(out[i], out[i + 1]);
       stats_.packets_reordered += 1;
-      PB_BUMP("net.fault.packets_reordered", 1);
     }
   }
   return out;

@@ -51,8 +51,8 @@ struct FaultInjectorConfig {
   }
 };
 
-/// Damage bookkeeping, mirrored into obs counters (net.fault.*) when the
-/// metrics layer is on so `pbpair monitor` can show live damage rates.
+/// Damage bookkeeping. StreamSession publishes each frame's change as the
+/// net.fault.* obs counters, so `pbpair monitor` can show live damage rates.
 struct FaultStats {
   std::uint64_t packets_seen = 0;
   std::uint64_t bits_flipped = 0;          // individual bits, not events

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "net/gf256.h"
-#include "obs/metrics.h"
 
 namespace pbpair::net {
 namespace {
@@ -70,18 +69,6 @@ std::uint8_t coefficient(FecScheme scheme, int repair_index, int data_index) {
 
 }  // namespace
 
-// Per-site cached-handle counter bump: the function-local static resolves
-// the name once, then add() is a lock-free bump on the calling thread's
-// shard. A macro so each expansion gets its own static (a shared helper
-// would redo the registry map lookup on every call).
-#define PB_BUMP(name, n)                                     \
-  do {                                                       \
-    const std::uint64_t pb_bump_n_ = (n);                    \
-    if (pb_bump_n_ > 0 && obs::enabled()) {                  \
-      static obs::Counter* pb_bump_c_ = &obs::counter(name); \
-      pb_bump_c_->add(pb_bump_n_);                           \
-    }                                                        \
-  } while (0)
 
 std::uint8_t fec_cauchy_coefficient(int repair_index, int data_index) {
   // Cauchy element sets: data columns y_i = i (i < kMaxFecK), repair rows
@@ -215,8 +202,6 @@ int FecEncoder::protect(std::vector<Packet>* packets) {
   }
 
   stats_.repair_packets += repairs.size();
-  PB_BUMP("net.fec.windows_encoded", repairs.empty() ? 0 : 1);
-  PB_BUMP("net.fec.repair_packets_sent", repairs.size());
   const int appended = static_cast<int>(repairs.size());
   for (Packet& repair : repairs) packets->push_back(std::move(repair));
   return appended;
@@ -241,7 +226,6 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
                  std::uint16_t>;
   std::map<WindowKey, std::vector<RepairEntry>> windows;
 
-  std::uint64_t invalid = 0;
   for (Packet& packet : packets) {
     if (!packet.is_fec_repair()) {
       media.push_back(std::move(packet));
@@ -250,7 +234,7 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
     stats_.repair_packets_seen += 1;
     FecRepairHeader header;
     if (!parse_repair_header(packet, &header)) {
-      ++invalid;
+      stats_.repair_packets_invalid += 1;
       continue;
     }
     const WindowKey key{header.base_sequence, header.k, header.m,
@@ -273,8 +257,6 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
     common::ledger_legacy(entry.symbol.size());
     entries.push_back(std::move(entry));
   }
-  stats_.repair_packets_invalid += invalid;
-  PB_BUMP("net.fec.repair_invalid", invalid);
   if (windows.empty()) return media;
 
   std::vector<Packet> recovered_packets;
@@ -302,7 +284,6 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
     if (missing.empty()) continue;  // nothing to do; repairs are consumed
     if (missing.size() > entries.size()) {
       stats_.windows_unrecoverable += 1;
-      PB_BUMP("net.fec.windows_unrecoverable", 1);
       continue;
     }
 
@@ -385,7 +366,6 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
     }
     if (!window_ok) {
       stats_.windows_unrecoverable += 1;
-      PB_BUMP("net.fec.windows_unrecoverable", 1);
       continue;
     }
 
@@ -406,7 +386,6 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
       }
       if (!ok) {
         stats_.recovered_unparseable += 1;
-        PB_BUMP("net.fec.recovered_unparseable", 1);
         continue;
       }
       if (expect_crc_ && !(recovered.crc_present && recovered.crc_ok)) {
@@ -414,12 +393,10 @@ std::vector<Packet> FecDecoder::process(std::vector<Packet> packets) {
         // X bit vanished) — symbol damage FEC could not see. Never hand
         // garbage downstream; recovered packets bypass the verify stage.
         stats_.recovered_crc_failed += 1;
-        PB_BUMP("net.fec.recovered_crc_failed", 1);
         continue;
       }
       recovered.recovered = true;
       stats_.packets_recovered += 1;
-      PB_BUMP("net.fec.packets_recovered", 1);
       recovered_packets.push_back(std::move(recovered));
     }
   }

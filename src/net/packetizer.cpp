@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace pbpair::net {
 
@@ -96,9 +95,6 @@ codec::ReceivedFrame depacketize(const std::vector<Packet>& packets,
   codec::ReceivedFrame received;
   received.frame_index = frame_index;
 
-  std::uint64_t dropped_bad_header = 0;
-  std::uint64_t dropped_orphan_continuation = 0;
-  std::uint64_t dropped_stray_fec = 0;
   bool have_meta = false;
   // Continuation packets (num_gobs == 0) re-join an oversized GOB split
   // by the packetizer. One is accepted only immediately after its
@@ -113,12 +109,12 @@ codec::ReceivedFrame depacketize(const std::vector<Packet>& packets,
       // ran (or damage forged the payload type); its payload is a FEC
       // symbol, not GOB data, so it is dropped — counted separately from
       // bad headers so the leak is visible in the metrics.
-      ++dropped_stray_fec;
+      ++received.dropped_stray_fec;
       continuation_gob = -1;
       continue;
     }
     if (packet.header.timestamp != static_cast<std::uint32_t>(frame_index)) {
-      ++dropped_bad_header;
+      ++received.dropped_bad_header;
       continuation_gob = -1;
       continue;
     }
@@ -134,7 +130,7 @@ codec::ReceivedFrame depacketize(const std::vector<Packet>& packets,
         expected_continuation_seq =
             static_cast<std::uint16_t>(packet.header.sequence + 1);
       } else {
-        ++dropped_orphan_continuation;
+        ++received.dropped_orphan_continuation;
         continuation_gob = -1;
       }
       continue;
@@ -160,21 +156,6 @@ codec::ReceivedFrame depacketize(const std::vector<Packet>& packets,
   }
 
   received.any_data = !received.spans.empty();
-  if (obs::enabled()) {
-    if (dropped_bad_header > 0) {
-      static obs::Counter* c = &obs::counter("net.dropped_bad_header");
-      c->add(dropped_bad_header);
-    }
-    if (dropped_orphan_continuation > 0) {
-      static obs::Counter* c =
-          &obs::counter("net.dropped_orphan_continuation");
-      c->add(dropped_orphan_continuation);
-    }
-    if (dropped_stray_fec > 0) {
-      static obs::Counter* c = &obs::counter("net.dropped_stray_fec");
-      c->add(dropped_stray_fec);
-    }
-  }
   return received;
 }
 

@@ -48,8 +48,8 @@ class Packetizer {
 
 /// Reassembles whatever packets of one frame arrived into the decoder's
 /// input. `packets` is UNTRUSTED: packets whose timestamp does not match
-/// `frame_index` are dropped and counted (net.dropped_bad_header), orphan
-/// continuations likewise (net.dropped_orphan_continuation) — never an
+/// `frame_index` are dropped and counted (ReceivedFrame::dropped_bad_header),
+/// orphan continuations and stray repair packets likewise — never an
 /// abort. Pass an empty vector for a fully lost frame (frame_index then
 /// tells the decoder which frame to conceal).
 codec::ReceivedFrame depacketize(const std::vector<Packet>& packets,

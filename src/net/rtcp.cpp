@@ -1,7 +1,6 @@
 #include "net/rtcp.h"
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace pbpair::net {
 namespace {
@@ -123,14 +122,6 @@ ReceiverReport ReceiverReportBuilder::build(
   }
   last_lost_ = estimator.lost();
   last_received_ = estimator.received();
-  if (obs::enabled()) {
-    static obs::Counter* c_reports = &obs::counter("net.feedback.reports");
-    c_reports->add(1);
-    // The sender-visible PLR estimate (gauges are last-writer-wins and
-    // stripped from deterministic metric output).
-    static obs::Gauge* g_plr = &obs::gauge("net.feedback.plr");
-    g_plr->set(estimator.estimate());
-  }
   return rr;
 }
 

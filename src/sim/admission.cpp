@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace pbpair::sim {
 namespace {
@@ -97,19 +96,6 @@ AdmitDecision SessionAdmission::admit(std::size_t slot,
     decision = AdmitDecision::kQueued;
   }
 
-  if (obs::enabled()) {
-    switch (decision) {
-      case AdmitDecision::kAccepted:
-        obs::counter("sim.admit.accepted").add();
-        break;
-      case AdmitDecision::kQueued:
-        obs::counter("sim.admit.queued").add();
-        break;
-      case AdmitDecision::kShed:
-        obs::counter("sim.admit.shed").add();
-        break;
-    }
-  }
   if (decision == AdmitDecision::kShed) {
     admission_ring()->record(obs::FlightEvent::kSessionShed, -1,
                              static_cast<std::int64_t>(slot),

@@ -16,10 +16,11 @@
 // reproduces the exact accept/queue/shed pattern at any thread count
 // (tests/test_sharded_serving.cpp asserts this).
 //
-// Outcomes are observable three ways: sim.admit.accepted / sim.admit.shed
-// / sim.admit.queued counters, one kSessionShed flight-recorder event per
-// shed session under the "admission" ring, and the AdmissionReport
-// returned to the caller.
+// Outcomes are observable three ways: the AdmissionReport returned to the
+// caller, the sim.admit.accepted / sim.admit.queued / sim.admit.shed
+// counters SessionManager::run publishes from that report, and one
+// kSessionShed flight-recorder event per shed session under the
+// "admission" ring.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +80,8 @@ class SessionAdmission {
   void sample_fleet();
 
   /// Decides for session `slot` (label `label`) targeting `shard` whose
-  /// pinned depth is `pinned_depth`. Bumps sim.admit.* counters and, on
-  /// shed, appends a kSessionShed event to the "admission" flight ring.
+  /// pinned depth is `pinned_depth`. On shed, appends a kSessionShed
+  /// event to the "admission" flight ring.
   AdmitDecision admit(std::size_t slot, const std::string& label,
                       bool sheddable, std::size_t shard,
                       std::size_t pinned_depth);

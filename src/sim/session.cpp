@@ -82,6 +82,8 @@ StreamSession::~StreamSession() {
 
 void StreamSession::init() {
   PB_CHECK(config_.frames > 0);
+  model_drops_name_ =
+      std::string("net.packets_dropped.") + channel_->loss().name();
   const int mb_cols = config_.encoder.width / 16;
   const int mb_rows = config_.encoder.height / 16;
   mbs_per_frame_ = mb_cols * mb_rows;
@@ -221,12 +223,6 @@ void StreamSession::verify_integrity() {
     crc_corrupted_interval_ += 1;
     frame_.trace.crc_corrupted += 1;
   }
-  if (obs::enabled()) {
-    static obs::Counter* c_ok = &obs::counter("net.crc.ok");
-    static obs::Counter* c_bad = &obs::counter("net.crc.corrupted");
-    c_ok->add(kept.size());
-    c_bad->add(frame_.delivered.size() - kept.size());
-  }
   frame_.delivered = std::move(kept);
 }
 
@@ -284,6 +280,12 @@ void StreamSession::observe_delivery() {
         report_builder_->build(*plr_estimator_, highest_sequence_,
                                crc_corrupted_interval_,
                                wire_stats_.crc_corrupted);
+    feedback_reports_ += 1;
+    if (obs::enabled()) {
+      // The sender-visible PLR estimate at the report.
+      static obs::Gauge& plr = obs::gauge("net.feedback.plr");
+      plr.set(plr_estimator_->estimate());
+    }
     crc_corrupted_interval_ = 0;
     // Round-trip the RFC 3550 wire format so the loop exercises exactly
     // what a real receiver would put on the wire.
@@ -298,6 +300,10 @@ const FrameTrace& StreamSession::step() {
   PB_CHECK(!done());
   const int i = next_frame_;
   obs::ScopedSpan frame_span("pipeline.frame", i, "frame");
+  // Only a frame that starts with obs on is published, so frames stepped
+  // with obs off never reach the counters later.
+  std::optional<CounterTotals> before;
+  if (obs::enabled()) before = counter_totals(/*with_frame=*/false);
   if (feedback_queue_ != nullptr) deliver_due_feedback(i);
   if (config_.pre_frame) config_.pre_frame(i, *policy_);
   if (rate_) encoder_->set_qp(rate_->qp());
@@ -342,8 +348,96 @@ const FrameTrace& StreamSession::step() {
 
   if (feedback_queue_ != nullptr) observe_delivery();
   accumulate(f.trace);
+  if (before) publish_counters(*before);
   next_frame_ = i + 1;
   return result_.frames.back();
+}
+
+// Every counter's running total, in one fixed order. The facts of a single
+// frame (its type and pre-ME intra MBs, whether any data arrived, the
+// depacketizer's drops) read 0 unless `with_frame`: a snapshot taken
+// before a frame then yields that frame's counts.
+StreamSession::CounterTotals StreamSession::counter_totals(
+    bool with_frame) const {
+  const auto frame = [with_frame](std::uint64_t n) {
+    return with_frame ? n : 0;
+  };
+  const codec::ReceivedFrame& received = frame_.received;
+  const energy::OpCounters& e = encoder_->ops();
+  const net::ChannelStats& ch = channel_->stats();
+  const net::FecEncoderStats fe =
+      fec_encoder_ != nullptr ? fec_encoder_->stats() : net::FecEncoderStats{};
+  const net::FecDecoderStats fd =
+      fec_decoder_ != nullptr ? fec_decoder_->stats() : net::FecDecoderStats{};
+  const net::FaultStats fi =
+      fault_injector_ != nullptr ? fault_injector_->stats() : net::FaultStats{};
+  const net::WireStats& w = wire_stats_;
+  return std::to_array<CounterTotal>({
+      {"encoder.frames", kEncoder, e.frames},
+      {"encoder.frames_intra", kEncoder,
+       frame(frame_.encoded.type == codec::FrameType::kIntra)},
+      {"encoder.mb_intra", kEncoder, e.intra_mbs},
+      {"encoder.mb_inter", kEncoder, e.inter_mbs},
+      {"encoder.mb_skip", kEncoder, e.skip_mbs},
+      {"encoder.mb_me_skipped", kEncoder,
+       frame(static_cast<std::uint64_t>(frame_.trace.pre_me_intra_mbs))},
+      {"encoder.mb_me_searched", kEncoder, e.me_invocations},
+      {"encoder.bits_written", kEncoder, e.bits_written},
+      {"encoder.sad_calls", kSad, e.sad_calls},
+      {"encoder.sad_early_exits", kSad, e.sad_early_exits},
+      {"decoder.frames", kDecoder, decoder_->ops().frames},
+      {"decoder.lost_frames", kDecoder, frame(!received.any_data)},
+      {"decoder.concealed_mbs", kAlone, decoder_->concealed_mbs()},
+      {"decoder.corrupt_gobs", kAlone, decoder_->corrupt_gobs()},
+      {"decoder.truncated_gobs", kAlone, decoder_->truncated_gobs()},
+      {"net.packets_sent", kChannel, ch.packets_sent},
+      {"net.packets_dropped", kChannel, ch.packets_dropped},
+      {"net.bytes_sent", kChannel, ch.bytes_sent},
+      {model_drops_name_.c_str(), kAlone, ch.packets_dropped},
+      {"net.dropped_bad_header", kAlone, frame(received.dropped_bad_header)},
+      {"net.dropped_orphan_continuation", kAlone,
+       frame(received.dropped_orphan_continuation)},
+      {"net.dropped_stray_fec", kAlone, frame(received.dropped_stray_fec)},
+      {"net.crc.ok", kCrc, w.packets_checked - w.crc_corrupted},
+      {"net.crc.corrupted", kCrc, w.crc_corrupted},
+      {"net.fec.windows_encoded", kAlone, fe.windows},
+      {"net.fec.repair_packets_sent", kAlone, fe.repair_packets},
+      {"net.fec.repair_invalid", kAlone, fd.repair_packets_invalid},
+      {"net.fec.windows_unrecoverable", kAlone, fd.windows_unrecoverable},
+      {"net.fec.recovered_unparseable", kAlone, fd.recovered_unparseable},
+      {"net.fec.recovered_crc_failed", kAlone, fd.recovered_crc_failed},
+      {"net.fec.packets_recovered", kAlone, fd.packets_recovered},
+      {"net.fault.bits_flipped", kAlone, fi.bits_flipped},
+      {"net.fault.headers_corrupted", kAlone, fi.headers_corrupted},
+      {"net.fault.payloads_truncated", kAlone, fi.payloads_truncated},
+      {"net.fault.dropped_unparseable", kAlone, fi.packets_dropped_unparseable},
+      {"net.fault.packets_duplicated", kAlone, fi.packets_duplicated},
+      {"net.fault.packets_reordered", kAlone, fi.packets_reordered},
+      {"net.feedback.reports", kAlone, feedback_reports_},
+  });
+}
+
+// The one place that publishes the layers' counts: adds the frame's change
+// in each. A kAlone counter enters the registry on its first nonzero add; a
+// group's counters enter together, zero values included, once any of them
+// changes (kCrc: whenever the verify_integrity stage runs).
+void StreamSession::publish_counters(const CounterTotals& before) {
+  const CounterTotals now = counter_totals(/*with_frame=*/true);
+  bool changed[kGroups] = {};
+  changed[kCrc] = crc_on_;
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    if (now[i].total != before[i].total) changed[now[i].group] = true;
+  }
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    const std::uint64_t n = now[i].total - before[i].total;
+    if (n == 0 && (now[i].group == kAlone || !changed[now[i].group])) continue;
+    if (published_[i] == nullptr) published_[i] = &obs::counter(now[i].name);
+    if (n != 0) published_[i]->add(n);
+  }
+  // Last-frame intra ratio (the paper's Intra_Th lever in action).
+  static obs::Gauge& intra_ratio = obs::gauge("encoder.intra_mb_ratio");
+  intra_ratio.set(static_cast<double>(frame_.trace.intra_mbs) /
+                  mbs_per_frame_);
 }
 
 void StreamSession::accumulate(const FrameTrace& trace) {

@@ -15,12 +15,17 @@
 // run_pipeline() (sim/pipeline.h) is a thin shim over one session and
 // stays byte-identical to the historical monolithic loop.
 //
+// The layers count into their own stats structs only. While obs is on,
+// step() publishes each frame's change in those stats to the global
+// encoder.* / decoder.* / net.* counters (DESIGN.md §8).
+//
 // Sessions are self-contained: no shared mutable state between instances
 // (the codec's only process-wide state is the read-only kernel dispatch
 // table and the obs registry, which reads but never perturbs), so many
 // sessions can run concurrently — see sim/session_manager.h.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,6 +129,20 @@ class StreamSession {
   void accumulate(const FrameTrace& trace);
   void update_telemetry(const FrameTrace& trace);
 
+  // One global obs counter as the session publishes it: its name, how the
+  // name enters the registry (alone, on its first nonzero add, or with its
+  // group), and the running count the layer keeps.
+  enum Group { kAlone, kEncoder, kSad, kDecoder, kChannel, kCrc, kGroups };
+  struct CounterTotal {
+    const char* name;
+    Group group;
+    std::uint64_t total;
+  };
+  static constexpr std::size_t kPublishedCounters = 38;
+  using CounterTotals = std::array<CounterTotal, kPublishedCounters>;
+  CounterTotals counter_totals(bool with_frame) const;
+  void publish_counters(const CounterTotals& before);
+
   SchemeSpec scheme_;
   PipelineConfig config_;
   FrameSource source_;
@@ -152,6 +171,7 @@ class StreamSession {
   std::unique_ptr<net::ReceiverReportBuilder> report_builder_;
   std::unique_ptr<net::DelayedFeedback<net::ReceiverReport>> feedback_queue_;
   std::uint16_t highest_sequence_ = 0;
+  std::uint64_t feedback_reports_ = 0;  // receiver reports built
 
   // CRC framing and the verify_integrity stage (config_.wire, fixed at
   // init()). The totals feed the result; the interval count resets every
@@ -192,6 +212,11 @@ class StreamSession {
   obs::Counter* c_mbs_ = nullptr;
   obs::Counter* c_crc_corrupted_ = nullptr;
   obs::Counter* c_energy_uj_ = nullptr;
+
+  // The global counters publish_counters() adds to, in counter_totals()
+  // order, each resolved when its name enters the registry.
+  std::array<obs::Counter*, kPublishedCounters> published_{};
+  std::string model_drops_name_;  // "net.packets_dropped.<loss model>"
 
   int next_frame_ = 0;
   double psnr_sum_ = 0.0;

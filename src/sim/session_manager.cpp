@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "common/mpmc_queue.h"
@@ -123,6 +124,16 @@ std::vector<PipelineResult> SessionManager::run(
   if (report.shed > 0) {
     PB_LOG_INFO("admission: accepted %zu, queued %zu, shed %zu",
                 report.accepted, report.queued, report.shed);
+  }
+  if (options.admission.has_value() && obs::enabled()) {
+    // Each name enters the registry with its first decision of that kind.
+    const std::pair<const char*, std::size_t> outcomes[] = {
+        {"sim.admit.accepted", report.accepted},
+        {"sim.admit.queued", report.queued},
+        {"sim.admit.shed", report.shed}};
+    for (const auto& [name, n] : outcomes) {
+      if (n > 0) obs::counter(name).add(n);
+    }
   }
 
   // --- shard setup. Queue capacity >= pinned count so requeues (active)

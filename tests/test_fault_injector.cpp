@@ -1,6 +1,6 @@
 // Tests for the adversarial fault-injection stage (net/fault_injector.h):
 // deterministic replay, wire-level honesty (unparseable damage drops the
-// packet), stat/counter bookkeeping, pipeline integration with the
+// packet), stats bookkeeping, pipeline integration with the
 // byte-identity guarantee when disabled, and the seeded fuzz harness.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "net/fault_injector.h"
 #include "net/loss_model.h"
 #include "net/packetizer.h"
-#include "obs/metrics.h"
 #include "sim/fuzzer.h"
 #include "sim/pipeline.h"
 #include "video/sequence.h"
@@ -152,28 +151,6 @@ TEST(FaultInjector, ReorderSwapsNeighbours) {
   std::vector<int> seen(6, 0);
   for (const Packet& p : out) seen[p.header.sequence] += 1;
   for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(FaultInjector, StatsFlowIntoObsCounters) {
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  const std::uint64_t flips_before =
-      obs::counter("net.fault.bits_flipped").value();
-  const std::uint64_t trunc_before =
-      obs::counter("net.fault.payloads_truncated").value();
-
-  FaultInjectorConfig config;
-  config.p_bit_flip = 1.0;
-  config.p_truncate = 0.5;
-  FaultInjector injector(config);
-  injector.apply(make_stream(30));
-
-  EXPECT_EQ(obs::counter("net.fault.bits_flipped").value() - flips_before,
-            injector.stats().bits_flipped);
-  EXPECT_EQ(
-      obs::counter("net.fault.payloads_truncated").value() - trunc_before,
-      injector.stats().payloads_truncated);
-  obs::set_enabled(was_enabled);
 }
 
 // --- pipeline integration ------------------------------------------------

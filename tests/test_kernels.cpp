@@ -19,7 +19,6 @@
 #include "codec/sad.h"
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "sim/scheme.h"
 #include "video/frame.h"
 #include "video/sequence.h"
@@ -509,34 +508,11 @@ TEST(Kernels, OpCountersIdenticalAcrossBackends) {
   }
 }
 
-// Turns obs on for one test and leaves the global registry blank behind
-// it, so the encoder's SAD counters read below count only that test's
-// encodes.
-class ScopedSadObs {
- public:
-  ScopedSadObs() : prev_(obs::enabled()) { obs::set_enabled(true); }
-  ~ScopedSadObs() {
-    obs::set_enabled(prev_);
-    obs::Registry::global().reset_all();
-  }
-  ScopedSadObs(const ScopedSadObs&) = delete;
-  ScopedSadObs& operator=(const ScopedSadObs&) = delete;
-
- private:
-  bool prev_;
-};
-
-// One backend's encode: bitstream, OpCounters and the obs SAD counters.
+// One backend's encode: bitstream and OpCounters (SAD calls and early
+// exits included).
 struct EncodeRun {
   std::vector<std::uint8_t> bytes;
   energy::OpCounters ops;
-  std::uint64_t sad_calls = 0;
-  std::uint64_t sad_early_exits = 0;
-
-  void read_sad_counters() {
-    sad_calls = obs::counter("encoder.sad_calls").value();
-    sad_early_exits = obs::counter("encoder.sad_early_exits").value();
-  }
 };
 
 void expect_runs_identical(const std::vector<EncodeRun>& runs) {
@@ -544,9 +520,6 @@ void expect_runs_identical(const std::vector<EncodeRun>& runs) {
     EXPECT_EQ(runs[0].bytes, runs[i].bytes) << "backend index " << i;
     EXPECT_EQ(0, std::memcmp(&runs[0].ops, &runs[i].ops,
                              sizeof(energy::OpCounters)))
-        << "backend index " << i;
-    EXPECT_EQ(runs[0].sad_calls, runs[i].sad_calls) << "backend index " << i;
-    EXPECT_EQ(runs[0].sad_early_exits, runs[i].sad_early_exits)
         << "backend index " << i;
   }
 }
@@ -575,8 +548,8 @@ bool penalty_live(const codec::RefreshPolicy& policy, int mb_cols,
 }
 
 // Encodes `frames` frames of `seq` under `scheme` on every backend and
-// expects the same bitstream, the same operation counters and the same SAD
-// obs counters from each.
+// expects the same bitstream and the same operation counters, SAD calls
+// and early exits included, from each.
 void expect_encodes_identical(const video::SyntheticSequence& seq, int frames,
                               const codec::EncoderConfig& config,
                               const sim::SchemeSpec& scheme) {
@@ -584,13 +557,11 @@ void expect_encodes_identical(const video::SyntheticSequence& seq, int frames,
   const int mb_cols = config.width / 16;
   const int mb_rows = config.height / 16;
   const Backend original = codec::kernels::active_backend();
-  ScopedSadObs obs_on;
 
   std::vector<EncodeRun> runs;
   bool penalized = false;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
-    obs::Registry::global().reset_all();
     std::unique_ptr<codec::RefreshPolicy> policy =
         sim::make_policy(scheme, mb_cols, mb_rows);
     codec::Encoder encoder(config, policy.get());
@@ -602,19 +573,18 @@ void expect_encodes_identical(const video::SyntheticSequence& seq, int frames,
                        frame.bytes.end());
     }
     run.ops = encoder.ops();
-    run.read_sad_counters();
     runs.push_back(std::move(run));
   }
   ASSERT_TRUE(codec::kernels::set_active(original));
 
-  ASSERT_GT(runs[0].sad_early_exits, 0u);
+  ASSERT_GT(runs[0].ops.sad_early_exits, 0u);
   EXPECT_EQ(penalized, scheme.kind == sim::SchemeKind::kPbpair);
   expect_runs_identical(runs);
 }
 
 // Strongest equivalence check: a short full-encoder run must produce the
-// same bitstream, the same operation counters and the same SAD obs counters
-// on every backend, with and without PBPAIR's ME penalty.
+// same bitstream and the same operation counters (SAD calls and early
+// exits included) on every backend, with and without PBPAIR's ME penalty.
 TEST(Kernels, EncoderBitstreamIdenticalAcrossBackends) {
   video::SyntheticSequence seq =
       video::make_paper_sequence(video::SequenceKind::kForemanLike);
@@ -760,21 +730,15 @@ std::string describe(const char* frames, const char* penalty,
   return s;
 }
 
-// One search's outcome: the result fields, its operation counters and the
-// obs SAD counters so far.
+// One search's outcome: the result fields and its operation counters.
 struct SearchOutcome {
   std::string where;
   codec::MotionResult result;
   energy::OpCounters ops;
-  std::uint64_t sad_calls = 0;
-  std::uint64_t sad_early_exits = 0;
 };
 
 // Every adversarial search on the active backend, in a fixed order.
 std::vector<SearchOutcome> run_adversarial_searches() {
-  obs::Registry::global().reset_all();
-  obs::Counter& calls = obs::counter("encoder.sad_calls");
-  obs::Counter& early = obs::counter("encoder.sad_early_exits");
   std::vector<SearchOutcome> run;
   for (const SearchFrames& f : adversarial_frames()) {
     for (const NamedPenalty& penalty : adversarial_penalties()) {
@@ -784,8 +748,6 @@ std::vector<SearchOutcome> run_adversarial_searches() {
           out.where = describe(f.name, penalty.name, config, mb);
           out.result = codec::search_motion(f.cur, f.ref, mb % 4, mb / 4,
                                             config, penalty.fn, out.ops);
-          out.sad_calls = calls.value();
-          out.sad_early_exits = early.value();
           run.push_back(std::move(out));
         }
       }
@@ -801,7 +763,6 @@ std::vector<SearchOutcome> run_adversarial_searches() {
 // batches of 1..7 lanes.
 TEST(Kernels, SearchMotionIdenticalAcrossBackendsAdversarial) {
   const Backend original = codec::kernels::active_backend();
-  ScopedSadObs obs_on;
   std::vector<std::vector<SearchOutcome>> runs;
   for (Backend backend : codec::kernels::supported_backends()) {
     ASSERT_TRUE(codec::kernels::set_active(backend));
@@ -823,8 +784,6 @@ TEST(Kernels, SearchMotionIdenticalAcrossBackendsAdversarial) {
       ASSERT_EQ(want.result.candidates, got.result.candidates);
       ASSERT_EQ(0, std::memcmp(&want.ops, &got.ops,
                                sizeof(energy::OpCounters)));
-      ASSERT_EQ(want.sad_calls, got.sad_calls);
-      ASSERT_EQ(want.sad_early_exits, got.sad_early_exits);
     }
   }
 }

@@ -11,14 +11,18 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/pbpair_policy.h"
 #include "net/buffer.h"
 #include "net/feedback.h"
 #include "net/loss_model.h"
+#include "obs/metrics.h"
 #include "sim/pipeline.h"
 #include "sim/session.h"
 
@@ -434,6 +438,282 @@ TEST(StreamSession, InterleavedSessionsMatchIsolatedRuns) {
   PipelineResult isolated_b = run_pipeline(garden, scheme_b, &loss_b2, config);
   expect_results_identical(isolated_a, interleaved_a);
   expect_results_identical(isolated_b, interleaved_b);
+}
+
+// --- The obs counters a session publishes ---
+
+// Turns obs on for one test, with the global registry zeroed before and
+// after it.
+class ScopedObs {
+ public:
+  ScopedObs() : was_on_(obs::enabled()) {
+    obs::Registry::global().reset_all();
+    obs::set_enabled(true);
+  }
+  ~ScopedObs() {
+    obs::set_enabled(was_on_);
+    obs::Registry::global().reset_all();
+  }
+  ScopedObs(const ScopedObs&) = delete;
+  ScopedObs& operator=(const ScopedObs&) = delete;
+
+ private:
+  bool was_on_;
+};
+
+using Counts = std::map<std::string, std::uint64_t>;
+
+// Counters whose names enter the registry together, zero values included,
+// once any of them counts.
+const std::vector<std::vector<std::string>>& counter_groups() {
+  static const std::vector<std::vector<std::string>> groups = {
+      {"encoder.frames", "encoder.frames_intra", "encoder.mb_intra",
+       "encoder.mb_inter", "encoder.mb_skip", "encoder.mb_me_skipped",
+       "encoder.mb_me_searched", "encoder.bits_written"},
+      {"encoder.sad_calls", "encoder.sad_early_exits"},
+      {"decoder.frames", "decoder.lost_frames"},
+      {"net.packets_sent", "net.packets_dropped", "net.bytes_sent"},
+      {"net.crc.ok", "net.crc.corrupted"}};
+  return groups;
+}
+
+// Running totals of every counter a session publishes, read from what the
+// session exposes: each layer's stats, plus the per-frame facts only
+// frame() holds. Call after_step() after every step().
+class SessionTally {
+ public:
+  explicit SessionTally(StreamSession& session) : session_(session) {}
+
+  void after_step() {
+    const FrameContext& f = session_.frame();
+    per_frame_["encoder.frames_intra"] +=
+        f.encoded.type == codec::FrameType::kIntra ? 1 : 0;
+    per_frame_["encoder.mb_me_skipped"] +=
+        static_cast<std::uint64_t>(f.trace.pre_me_intra_mbs);
+    per_frame_["decoder.lost_frames"] += f.received.any_data ? 0 : 1;
+    per_frame_["net.dropped_bad_header"] += f.received.dropped_bad_header;
+    per_frame_["net.dropped_orphan_continuation"] +=
+        f.received.dropped_orphan_continuation;
+    per_frame_["net.dropped_stray_fec"] += f.received.dropped_stray_fec;
+    const PipelineConfig& config = session_.config();
+    if (config.on_feedback &&
+        (f.index + 1) % config.feedback_interval_frames == 0) {
+      per_frame_["net.feedback.reports"] += 1;
+    }
+  }
+
+  Counts totals() const {
+    Counts t = per_frame_;
+    const energy::OpCounters& ops = session_.encoder().ops();
+    t["encoder.frames"] = ops.frames;
+    t["encoder.mb_intra"] = ops.intra_mbs;
+    t["encoder.mb_inter"] = ops.inter_mbs;
+    t["encoder.mb_skip"] = ops.skip_mbs;
+    t["encoder.mb_me_searched"] = ops.me_invocations;
+    t["encoder.bits_written"] = ops.bits_written;
+    t["encoder.sad_calls"] = ops.sad_calls;
+    t["encoder.sad_early_exits"] = ops.sad_early_exits;
+    const codec::Decoder& decoder = session_.decoder();
+    t["decoder.frames"] = decoder.ops().frames;
+    t["decoder.concealed_mbs"] = decoder.concealed_mbs();
+    t["decoder.corrupt_gobs"] = decoder.corrupt_gobs();
+    t["decoder.truncated_gobs"] = decoder.truncated_gobs();
+    const net::Channel& channel = session_.channel();
+    t["net.packets_sent"] = channel.stats().packets_sent;
+    t["net.packets_dropped"] = channel.stats().packets_dropped;
+    t[std::string("net.packets_dropped.") + channel.loss().name()] =
+        channel.stats().packets_dropped;
+    t["net.bytes_sent"] = channel.stats().bytes_sent;
+    if (session_.config().wire.has_value()) {
+      const net::WireStats& wire = session_.wire_stats();
+      t["net.crc.ok"] = wire.packets_checked - wire.crc_corrupted;
+      t["net.crc.corrupted"] = wire.crc_corrupted;
+    }
+    if (const net::FecEncoder* fec = session_.fec_encoder()) {
+      t["net.fec.windows_encoded"] = fec->stats().windows;
+      t["net.fec.repair_packets_sent"] = fec->stats().repair_packets;
+    }
+    if (const net::FecDecoder* fec = session_.fec_decoder()) {
+      const net::FecDecoderStats& stats = fec->stats();
+      t["net.fec.repair_invalid"] = stats.repair_packets_invalid;
+      t["net.fec.windows_unrecoverable"] = stats.windows_unrecoverable;
+      t["net.fec.recovered_unparseable"] = stats.recovered_unparseable;
+      t["net.fec.recovered_crc_failed"] = stats.recovered_crc_failed;
+      t["net.fec.packets_recovered"] = stats.packets_recovered;
+    }
+    if (const net::FaultInjector* faults = session_.fault_injector()) {
+      const net::FaultStats& stats = faults->stats();
+      t["net.fault.bits_flipped"] = stats.bits_flipped;
+      t["net.fault.headers_corrupted"] = stats.headers_corrupted;
+      t["net.fault.payloads_truncated"] = stats.payloads_truncated;
+      t["net.fault.dropped_unparseable"] = stats.packets_dropped_unparseable;
+      t["net.fault.packets_duplicated"] = stats.packets_duplicated;
+      t["net.fault.packets_reordered"] = stats.packets_reordered;
+    }
+    return t;
+  }
+
+ private:
+  StreamSession& session_;
+  Counts per_frame_;
+};
+
+// What publishing the frames between two tallies adds to the registry:
+// each counter's nonzero change, plus a zero for every quiet member of a
+// group that counted.
+Counts published_between(const Counts& before, const Counts& after) {
+  Counts out;
+  for (const auto& [name, value] : after) {
+    const auto it = before.find(name);
+    const std::uint64_t change = value - (it == before.end() ? 0 : it->second);
+    if (change != 0) out[name] = change;
+  }
+  for (const std::vector<std::string>& group : counter_groups()) {
+    bool counted = false;
+    for (const std::string& name : group) counted |= out.count(name) > 0;
+    if (!counted) continue;
+    for (const std::string& name : group) out.emplace(name, 0);
+  }
+  return out;
+}
+
+// The registry's deterministic counters (no *_ns) that are nonzero or
+// expected. A name an earlier test in the same process left registered at
+// zero is not one this test published.
+Counts registry_counters(const Counts& expected) {
+  Counts out;
+  for (const auto& [name, value] :
+       obs::Registry::global().snapshot().counters) {
+    if (name.ends_with("_ns")) continue;
+    if (value != 0 || expected.count(name) > 0) out[name] = value;
+  }
+  return out;
+}
+
+// Every optional stage: FEC windows of 4 packets at MTU 96, so each frame
+// spans several windows, CRC framing, all five fault kinds and the RTCP
+// loop. Paired with bursty loss by every_stage_session().
+PipelineConfig every_stage_config() {
+  PipelineConfig config = short_config(30);
+  config.packetizer.mtu = 96;
+  net::FecConfig fec;
+  fec.scheme = net::FecScheme::kReedSolomon;
+  fec.k = 4;
+  fec.m = 1;
+  config.fec = fec;
+  config.wire = net::WireConfig{};
+  net::FaultInjectorConfig faults;
+  faults.seed = 41;
+  faults.p_bit_flip = 0.02;
+  faults.p_truncate = 0.02;
+  faults.p_header_corrupt = 0.02;
+  faults.p_duplicate = 0.02;
+  faults.p_reorder = 0.02;
+  config.faults = faults;
+  config.feedback_rtt_frames = 2;
+  config.on_feedback = [](int, const net::ReceiverReport& report,
+                          codec::RefreshPolicy& policy) {
+    if (auto* p = dynamic_cast<core::PbpairPolicy*>(&policy)) {
+      p->set_plr(report.fraction_lost_as_double());
+    }
+  };
+  return config;
+}
+
+StreamSession every_stage_session(const video::SyntheticSequence& seq) {
+  return StreamSession(
+      [&seq](int i) { return seq.frame_at(i); },
+      SchemeSpec::pbpair(pbpair_config(0.9, 0.10)),
+      std::make_unique<net::GilbertElliottLoss>(
+          net::GilbertElliottLoss::Params{}, /*seed=*/2005),
+      every_stage_config());
+}
+
+void step_to_end(StreamSession& session, SessionTally& tally) {
+  while (!session.done()) {
+    session.step();
+    tally.after_step();
+  }
+}
+
+// The counters a session publishes are its layers' own stats, name for
+// name: a missing, extra or miscounted name fails here.
+TEST(StreamSession, PublishedCountersEqualTheLayersStats) {
+  ScopedObs obs_on;
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  StreamSession session = every_stage_session(seq);
+  SessionTally tally(session);
+  step_to_end(session, tally);
+  Counts expected = published_between({}, tally.totals());
+
+  EXPECT_EQ(registry_counters(expected), expected);
+  // Each layer counted something, so the comparison covers it; a frame
+  // spans several FEC windows, so windows are not frames.
+  EXPECT_GT(expected["net.fec.windows_encoded"], expected["encoder.frames"]);
+  for (const char* name :
+       {"encoder.sad_early_exits", "decoder.concealed_mbs",
+        "net.packets_dropped", "net.crc.corrupted", "net.fec.packets_recovered",
+        "net.fec.windows_unrecoverable", "net.fault.bits_flipped",
+        "net.fault.packets_duplicated", "net.fault.packets_reordered",
+        "net.feedback.reports"}) {
+    EXPECT_GT(expected[name], 0u) << name;
+  }
+}
+
+// Frames stepped while obs is off are never published, not even once obs
+// is back on: the registry holds only the later frames' changes.
+TEST(StreamSession, FramesSteppedWithObsOffAreNeverPublished) {
+  ScopedObs obs_on;
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  StreamSession session = every_stage_session(seq);
+  SessionTally tally(session);
+  obs::set_enabled(false);
+  for (int i = 0; i < 12; ++i) {
+    session.step();
+    tally.after_step();
+  }
+  obs::set_enabled(true);
+  const Counts at_switch = tally.totals();
+  step_to_end(session, tally);
+  const Counts expected = published_between(at_switch, tally.totals());
+
+  EXPECT_EQ(registry_counters(expected), expected);
+  EXPECT_EQ(expected.at("encoder.frames"), 18u);
+}
+
+// Two sessions stepped in turn publish the sum of their changes.
+TEST(StreamSession, InterleavedSessionsPublishTheirSum) {
+  ScopedObs obs_on;
+  video::SyntheticSequence foreman =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  video::SyntheticSequence garden =
+      video::make_paper_sequence(video::SequenceKind::kGardenLike);
+  StreamSession a = every_stage_session(foreman);
+  net::UniformFrameLoss loss_b(0.2, /*seed=*/22);
+  StreamSession b([&garden](int i) { return garden.frame_at(i); },
+                  SchemeSpec::gop(3), &loss_b, short_config(12));
+  SessionTally tally_a(a);
+  SessionTally tally_b(b);
+  while (!a.done() || !b.done()) {
+    if (!a.done()) {
+      a.step();
+      tally_a.after_step();
+    }
+    if (!b.done()) {
+      b.step();
+      tally_b.after_step();
+    }
+  }
+  Counts expected = published_between({}, tally_a.totals());
+  for (const auto& [name, value] : published_between({}, tally_b.totals())) {
+    expected[name] += value;
+  }
+
+  EXPECT_EQ(registry_counters(expected), expected);
+  EXPECT_GT(expected["net.packets_dropped.uniform-frame"], 0u);
+  EXPECT_GT(expected["net.packets_dropped.gilbert-elliott"], 0u);
 }
 
 // --- Delayed feedback ---
