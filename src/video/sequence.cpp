@@ -1,5 +1,8 @@
 #include "video/sequence.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "video/noise.h"
@@ -35,6 +38,22 @@ std::uint64_t hash2(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
   common::SplitMix64 mixer(seed ^ (a * 0x9E3779B97F4A7C15ULL) ^
                            (b * 0xC2B2AE3D27D4EB4FULL));
   return mixer.next();
+}
+
+// Ellipse interior test without division:
+// (dx/rx)^2 + (dy/ry)^2 <= 1  <=>  (dx*ry)^2 + (dy*rx)^2 <= (rx*ry)^2
+bool in_ellipse(long long dx, long long dy, long long rx, long long ry) {
+  return dx * dx * ry * ry + dy * dy * rx * rx <= rx * rx * ry * ry;
+}
+
+// The range [*lo, *hi] of [0, size) along one axis that can pass
+// in_ellipse. (d * other_radius)^2 <= (radius * other_radius)^2 bounds |d|
+// by radius only when other_radius > 0; a zero other radius flattens the
+// ellipse to a line that does not bound this axis.
+void sprite_span(int center, int radius, int other_radius, int size, int* lo,
+                 int* hi) {
+  *lo = other_radius > 0 ? std::max(0, center - radius) : 0;
+  *hi = other_radius > 0 ? std::min(size - 1, center + radius) : size - 1;
 }
 
 }  // namespace
@@ -155,35 +174,66 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
       break;
   }
 
-  const int n_sprites = sprite_count();
-  Sprite sprites[4];
-  for (int i = 0; i < n_sprites; ++i) sprites[i] = sprite(i, index);
-
+  // The Y plane first holds each pixel's noise value in [0, 255], and the
+  // chroma planes their final values; the sprites then overwrite both.
   Plane& yp = frame.y();
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      int wx = x + off_x;
-      int wy = y + off_y;
-      int val = bg_noise.fractal(wx, wy, base_cell, octaves);
-      // Check sprites front-to-back (later sprites drawn on top).
-      for (int i = n_sprites - 1; i >= 0; --i) {
-        const Sprite& s = sprites[i];
-        long long dx = x - s.cx;
-        long long dy = y - s.cy;
-        // Ellipse interior test without division:
-        // (dx/rx)^2 + (dy/ry)^2 <= 1  <=>  (dx*ry)^2 + (dy*rx)^2 <= (rx*ry)^2
-        long long lhs = dx * dx * s.ry * s.ry + dy * dy * s.rx * s.rx;
-        long long rhs = static_cast<long long>(s.rx) * s.rx * s.ry * s.ry;
-        if (lhs <= rhs) {
-          // Sprite texture is sampled in sprite-local coordinates so it
-          // moves rigidly with the sprite (true motion, not boiling).
-          val = sprite_noise.fractal(static_cast<int>(dx) + s.tex_offset,
-                                     static_cast<int>(dy) + s.tex_offset,
-                                     16, 2);
-          break;
+  Plane& up = frame.u();
+  Plane& vp = frame.v();
+  bg_noise.fractal_block(off_x, off_y, 1, width_, height_, base_cell,
+                         octaves, yp.data().data());
+  // Chroma: smooth fields around neutral, sampled at half resolution.
+  const int chroma_w = width_ / 2;
+  const int chroma_h = height_ / 2;
+  chroma_noise.fractal_block(off_x, off_y, 2, chroma_w, chroma_h,
+                             base_cell * 2, 2, up.data().data());
+  chroma_noise.fractal_block(off_x + 31337, off_y + 271, 2, chroma_w,
+                             chroma_h, base_cell * 2, 2, vp.data().data());
+  for (Plane* plane : {&up, &vp}) {
+    for (std::uint8_t& p : plane->data()) {
+      p = common::clamp_pixel(128 + (p - 128) / 4);
+    }
+  }
+
+  // Sprites back to front, so a later sprite covers an earlier one. Only
+  // their bounding boxes can pass the ellipse test.
+  std::vector<std::uint8_t> texture;
+  for (int i = 0; i < sprite_count(); ++i) {
+    const Sprite s = sprite(i, index);
+    int x_lo, x_hi, y_lo, y_hi;
+    sprite_span(s.cx, s.rx, s.ry, width_, &x_lo, &x_hi);
+    sprite_span(s.cy, s.ry, s.rx, height_, &y_lo, &y_hi);
+    if (x_lo > x_hi || y_lo > y_hi) continue;
+    const int box_w = x_hi - x_lo + 1;
+    const int box_h = y_hi - y_lo + 1;
+    // Sprite texture is sampled in sprite-local coordinates so it moves
+    // rigidly with the sprite (true motion, not boiling).
+    texture.resize(static_cast<std::size_t>(box_w) * box_h);
+    sprite_noise.fractal_block(x_lo - s.cx + s.tex_offset,
+                               y_lo - s.cy + s.tex_offset, 1, box_w, box_h,
+                               16, 2, texture.data());
+    for (int y = y_lo; y <= y_hi; ++y) {
+      std::uint8_t* row = yp.row(y);
+      const std::uint8_t* tex =
+          texture.data() + static_cast<std::size_t>(y - y_lo) * box_w;
+      for (int x = x_lo; x <= x_hi; ++x) {
+        if (in_ellipse(x - s.cx, y - s.cy, s.rx, s.ry)) row[x] = tex[x - x_lo];
+      }
+    }
+    // Sprite tints on the chroma samples, which sit at even luma positions.
+    for (int cy = (y_lo + 1) / 2; cy <= y_hi / 2; ++cy) {
+      for (int cx = (x_lo + 1) / 2; cx <= x_hi / 2; ++cx) {
+        if (in_ellipse(cx * 2 - s.cx, cy * 2 - s.cy, s.rx, s.ry)) {
+          up.set(cx, cy, common::clamp_pixel(s.chroma_u));
+          vp.set(cx, cy, common::clamp_pixel(s.chroma_v));
         }
       }
-      int pixel = dyn_lo + (val * (dyn_hi - dyn_lo)) / 255;
+    }
+  }
+
+  for (int y = 0; y < height_; ++y) {
+    std::uint8_t* row = yp.row(y);
+    for (int x = 0; x < width_; ++x) {
+      int pixel = dyn_lo + (row[x] * (dyn_hi - dyn_lo)) / 255;
       if (kind_ == SequenceKind::kAkiyoLike) {
         // Studio sensor noise, +/-2 gray levels, varying per frame. Real
         // AKIYO has this; without it the background is mathematically
@@ -195,36 +245,7 @@ YuvFrame SyntheticSequence::frame_at(int index) const {
                   (static_cast<std::uint64_t>(y) << 20) | static_cast<std::uint64_t>(x));
         pixel += static_cast<int>(h % 5) - 2;
       }
-      yp.set(x, y, common::clamp_pixel(pixel));
-    }
-  }
-
-  // Chroma: smooth fields around neutral, plus sprite tints. Sampled at
-  // half resolution directly.
-  Plane& up = frame.u();
-  Plane& vp = frame.v();
-  for (int cy = 0; cy < height_ / 2; ++cy) {
-    for (int cx = 0; cx < width_ / 2; ++cx) {
-      int wx = cx * 2 + off_x;
-      int wy = cy * 2 + off_y;
-      int un = chroma_noise.fractal(wx, wy, base_cell * 2, 2);
-      int vn = chroma_noise.fractal(wx + 31337, wy + 271, base_cell * 2, 2);
-      int u = 128 + (un - 128) / 4;
-      int v = 128 + (vn - 128) / 4;
-      for (int i = n_sprites - 1; i >= 0; --i) {
-        const Sprite& s = sprites[i];
-        long long dx = cx * 2 - s.cx;
-        long long dy = cy * 2 - s.cy;
-        long long lhs = dx * dx * s.ry * s.ry + dy * dy * s.rx * s.rx;
-        long long rhs = static_cast<long long>(s.rx) * s.rx * s.ry * s.ry;
-        if (lhs <= rhs) {
-          u = s.chroma_u;
-          v = s.chroma_v;
-          break;
-        }
-      }
-      up.set(cx, cy, common::clamp_pixel(u));
-      vp.set(cx, cy, common::clamp_pixel(v));
+      row[x] = common::clamp_pixel(pixel);
     }
   }
   return frame;

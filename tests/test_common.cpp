@@ -1,6 +1,7 @@
 // Tests for common utilities: deterministic RNG, Q16 fixed point, math.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -172,6 +173,28 @@ TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(ceil_div(11, 5), 3);
   EXPECT_EQ(ceil_div(0, 5), 0);
   EXPECT_EQ(ceil_div(1, 5), 1);
+}
+
+TEST(MathUtil, ExactDivisorOverTheBlockFillRange) {
+  // Every divisor and numerator ValueNoise::fractal_block divides: cell^2
+  // for cells up to 256 with numerators up to 255 * cell^2, and octave
+  // weight sums up to 63 with numerators up to 255 * 63. n * M >> 40 grows
+  // with n, so the first and last numerator of each quotient cover the
+  // numerators between them.
+  const auto check = [](int d, int n_max) {
+    const ExactDivisor div(d);
+    for (int q = 0; q * d <= n_max; ++q) {
+      const int last = std::min(q * d + d - 1, n_max);
+      ASSERT_EQ(div.divide(q * d), q) << "d " << d;
+      ASSERT_EQ(div.divide(last), q) << "d " << d << " n " << last;
+    }
+  };
+  for (int cell = 1; cell <= 256; ++cell) {
+    check(cell * cell, 255 * cell * cell);
+  }
+  for (int weight_sum = 1; weight_sum <= 63; ++weight_sum) {
+    check(weight_sum, 255 * weight_sum);
+  }
 }
 
 TEST(MathUtil, Iabs) {

@@ -3,8 +3,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "codec/sad.h"
+#include "common/math_util.h"
+#include "common/rng.h"
 #include "video/frame.h"
 #include "video/metrics.h"
 #include "video/noise.h"
@@ -137,6 +140,59 @@ TEST(Noise, SpatialCorrelationWithinCell) {
   EXPECT_LT(near_diff, far_diff);
 }
 
+TEST(Noise, BlockFillEqualsPerPointFractal) {
+  // Random blocks over every input the block fill's shortcuts depend on:
+  // negative and far origins, both steps, widths that end mid-cell, cells
+  // up to the 256 bound (where the multiply-shift division has the least
+  // slack), and octave counts that outrun the base cell.
+  common::Pcg32 rng(0x5EED);
+  const int far = 1000000;
+  for (int trial = 0; trial < 300; ++trial) {
+    const ValueNoise noise(rng.next_u32());
+    int x0 = rng.next_in_range(-1000, 1000);
+    int y0 = rng.next_in_range(-1000, 1000);
+    if (trial % 4 == 0) {
+      x0 = 0;
+      y0 = 0;
+    } else if (trial % 4 == 1) {
+      x0 += far;
+      y0 -= far;
+    } else if (trial % 4 == 2) {
+      x0 -= far;
+      y0 += far;
+    }
+    const int step = 1 + trial % 2;
+    int w = rng.next_in_range(1, 200);
+    int h = rng.next_in_range(1, 150);
+    if (trial < 2) {
+      w = 1;
+      h = 1;
+    } else if (trial < 4) {
+      w = 200;
+      h = 150;
+    }
+    int base_cell = rng.next_in_range(1, 256);
+    if (trial % 10 == 5) base_cell = 256 - trial / 10;
+    // Small cells: base_cell >> o reaches 0 before the last octave.
+    if (trial % 10 == 7) base_cell = rng.next_in_range(0, 16);
+    const int octaves = rng.next_in_range(1, 6);
+    std::vector<std::uint8_t> block(static_cast<std::size_t>(w) * h);
+    noise.fractal_block(x0, y0, step, w, h, base_cell, octaves, block.data());
+    int mismatches = 0;
+    for (int r = 0; r < h; ++r) {
+      for (int i = 0; i < w; ++i) {
+        const int want =
+            noise.fractal(x0 + i * step, y0 + r * step, base_cell, octaves);
+        mismatches += block[static_cast<std::size_t>(r) * w + i] != want;
+      }
+    }
+    ASSERT_EQ(mismatches, 0)
+        << "trial " << trial << ": origin (" << x0 << ", " << y0
+        << ") step " << step << " size " << w << "x" << h << " cell "
+        << base_cell << " octaves " << octaves;
+  }
+}
+
 // --- Synthetic sequences ---
 
 TEST(Sequence, FrameAtIsPure) {
@@ -230,6 +286,221 @@ TEST(Sequence, GardenPanIsTrueTranslation) {
   std::int64_t sad =
       codec::sad_16x16(f2.y(), 32, 32, f0.y(), 32 + 5, 32 + 0, ops);
   EXPECT_EQ(sad, 0);
+}
+
+// The per-pixel definition of frame_at, kept as the reference its block
+// fills must match byte for byte: one fractal() call per pixel, sprites
+// tested front to back with the first hit winning, and the clip layout
+// (camera motion, sprite table and motion) copied alongside.
+namespace reference {
+
+constexpr int kSinTable[65] = {
+    0,   6,   13,  19,  25,  31,  38,  44,  50,  56,  62,  69,  75,
+    81,  87,  93,  98,  104, 109, 115, 121, 126, 132, 137, 142, 147,
+    152, 158, 162, 167, 172, 177, 181, 185, 190, 194, 198, 202, 206,
+    209, 213, 216, 220, 223, 226, 229, 231, 234, 236, 239, 241, 243,
+    245, 247, 248, 250, 251, 252, 253, 254, 255, 255, 256, 256, 256};
+
+int sin_q8(int t, int period) {
+  long long phase256 = (static_cast<long long>(t % period) * 256) / period;
+  int p = static_cast<int>(phase256 & 255);
+  int idx = p & 63;
+  switch (p >> 6) {
+    case 0: return kSinTable[idx];
+    case 1: return kSinTable[64 - idx];
+    case 2: return -kSinTable[idx];
+    default: return -kSinTable[64 - idx];
+  }
+}
+
+std::uint64_t hash2(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
+  common::SplitMix64 mixer(seed ^ (a * 0x9E3779B97F4A7C15ULL) ^
+                           (b * 0xC2B2AE3D27D4EB4FULL));
+  return mixer.next();
+}
+
+struct Sprite {
+  int cx, cy, rx, ry, amp_x, amp_y, period, phase, tex_offset, chroma_u,
+      chroma_v;
+};
+
+int sprite_count(SequenceKind kind) {
+  return kind == SequenceKind::kGardenLike ? 0 : 2;
+}
+
+Sprite sprite(SequenceKind kind, int w, int h, int which, int index) {
+  Sprite s{};
+  if (kind == SequenceKind::kAkiyoLike && which == 0) {  // head
+    s = {w / 2, h * 2 / 5, w / 6, h / 4, 2, 1, 64, 0, 5000, 118, 132};
+  } else if (kind == SequenceKind::kAkiyoLike) {  // mouth
+    s = {w / 2, h / 2, w / 14, h / 18, 1, 2, 12, 3, 9000, 120, 134};
+  } else if (which == 0) {  // foreman's face
+    s = {w / 2, h / 2, w / 5, h / 3, 6, 4, 40, 0, 7000, 116, 136};
+  } else {  // foreman's helmet
+    s = {w / 2, h / 4, w / 4, h / 6, 6, 3, 40, 5, 3000, 124, 124};
+  }
+  s.cx += (s.amp_x * sin_q8(index + s.phase, s.period)) / 256;
+  s.cy += (s.amp_y * sin_q8(2 * (index + s.phase), s.period)) / 256;
+  return s;
+}
+
+void global_offset(SequenceKind kind, std::uint64_t seed, int index,
+                   int* off_x, int* off_y) {
+  *off_x = 0;
+  *off_y = 0;
+  if (kind == SequenceKind::kForemanLike) {
+    for (int k = index > 6 ? index - 6 : 0; k < index; ++k) {
+      std::uint64_t h = hash2(seed, 0xF0F0, static_cast<std::uint64_t>(k));
+      *off_x += static_cast<int>(h % 3) - 1;
+      *off_y += static_cast<int>((h >> 8) % 3) - 1;
+    }
+  } else if (kind == SequenceKind::kGardenLike) {
+    *off_x = (index * 5) / 2;
+    *off_y = index / 4;
+  }
+}
+
+bool in_sprite(const Sprite& s, long long dx, long long dy) {
+  long long lhs = dx * dx * s.ry * s.ry + dy * dy * s.rx * s.rx;
+  long long rhs = static_cast<long long>(s.rx) * s.rx * s.ry * s.ry;
+  return lhs <= rhs;
+}
+
+YuvFrame reference_frame_at(SequenceKind kind, int width, int height,
+                            std::uint64_t seed, int index) {
+  YuvFrame frame(width, height);
+  ValueNoise bg_noise(seed ^ 0xA11CE);
+  ValueNoise sprite_noise(seed ^ 0xB0B);
+  ValueNoise chroma_noise(seed ^ 0xCAFE);
+  int off_x = 0, off_y = 0;
+  global_offset(kind, seed, index, &off_x, &off_y);
+  int base_cell = 10;  // garden
+  int octaves = 4;
+  int dyn_lo = 40;
+  int dyn_hi = 220;
+  if (kind == SequenceKind::kAkiyoLike) {
+    base_cell = 48;
+    octaves = 2;
+    dyn_lo = 70;
+    dyn_hi = 190;
+  } else if (kind == SequenceKind::kForemanLike) {
+    base_cell = 24;
+    octaves = 3;
+    dyn_lo = 55;
+    dyn_hi = 205;
+  }
+  const int n_sprites = sprite_count(kind);
+  Sprite sprites[2];
+  for (int i = 0; i < n_sprites; ++i) {
+    sprites[i] = sprite(kind, width, height, i, index);
+  }
+
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      int val = bg_noise.fractal(x + off_x, y + off_y, base_cell, octaves);
+      for (int i = n_sprites - 1; i >= 0; --i) {  // front to back
+        const Sprite& s = sprites[i];
+        if (in_sprite(s, x - s.cx, y - s.cy)) {
+          val = sprite_noise.fractal(x - s.cx + s.tex_offset,
+                                     y - s.cy + s.tex_offset, 16, 2);
+          break;
+        }
+      }
+      int pixel = dyn_lo + (val * (dyn_hi - dyn_lo)) / 255;
+      if (kind == SequenceKind::kAkiyoLike) {
+        std::uint64_t h = hash2(seed ^ 0x5E4503,
+                                static_cast<std::uint64_t>(index),
+                                (static_cast<std::uint64_t>(y) << 20) |
+                                    static_cast<std::uint64_t>(x));
+        pixel += static_cast<int>(h % 5) - 2;
+      }
+      frame.y().set(x, y, common::clamp_pixel(pixel));
+    }
+  }
+  for (int cy = 0; cy < height / 2; ++cy) {
+    for (int cx = 0; cx < width / 2; ++cx) {
+      int wx = cx * 2 + off_x;
+      int wy = cy * 2 + off_y;
+      int un = chroma_noise.fractal(wx, wy, base_cell * 2, 2);
+      int vn = chroma_noise.fractal(wx + 31337, wy + 271, base_cell * 2, 2);
+      int u = 128 + (un - 128) / 4;
+      int v = 128 + (vn - 128) / 4;
+      for (int i = n_sprites - 1; i >= 0; --i) {
+        const Sprite& s = sprites[i];
+        if (in_sprite(s, cx * 2 - s.cx, cy * 2 - s.cy)) {
+          u = s.chroma_u;
+          v = s.chroma_v;
+          break;
+        }
+      }
+      frame.u().set(cx, cy, common::clamp_pixel(u));
+      frame.v().set(cx, cy, common::clamp_pixel(v));
+    }
+  }
+  return frame;
+}
+
+}  // namespace reference
+
+// Sizes and indices that reach every edge of the per-pixel definition: at
+// 16x16 akiyo's mouth sprite has ry == 0 (the ellipse is a line across the
+// frame), foreman's jitter samples below zero, and garden at 100000 pans
+// 250000 px.
+void expect_frames_match_reference(SequenceKind kind) {
+  std::vector<int> indices;
+  for (int i = 0; i <= 40; ++i) indices.push_back(i);
+  indices.insert(indices.end(), {299, 1000, 100000});
+  const int sizes[4][2] = {
+      {16, 16}, {64, 48}, {kQcifWidth, kQcifHeight}, {kCifWidth, kCifHeight}};
+  for (std::uint64_t seed : {1ull, 2005ull, 7001ull}) {
+    for (const auto& size : sizes) {
+      SyntheticSequence seq(kind, size[0], size[1], seed);
+      for (int index : indices) {
+        ASSERT_EQ(seq.frame_at(index),
+                  reference::reference_frame_at(kind, size[0], size[1], seed,
+                                                index))
+            << sequence_kind_name(kind) << " seed " << seed << " "
+            << size[0] << "x" << size[1] << " frame " << index;
+      }
+    }
+  }
+}
+
+TEST(Sequence, AkiyoFramesMatchPerPixelReference) {
+  expect_frames_match_reference(SequenceKind::kAkiyoLike);
+}
+
+TEST(Sequence, ForemanFramesMatchPerPixelReference) {
+  expect_frames_match_reference(SequenceKind::kForemanLike);
+}
+
+TEST(Sequence, GardenFramesMatchPerPixelReference) {
+  expect_frames_match_reference(SequenceKind::kGardenLike);
+}
+
+// FNV-1a 64 over each frame's Y, U and V bytes, frames 0..29 of the QCIF
+// clip at seed 2005. The values were computed with the per-pixel
+// definition; tools/kernel_selftest checks the same three off x86.
+std::uint64_t synthesis_digest(SequenceKind kind) {
+  const SyntheticSequence seq = make_paper_sequence(kind, 2005);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (int i = 0; i < 30; ++i) {
+    const YuvFrame frame = seq.frame_at(i);
+    for (const Plane* plane : {&frame.y(), &frame.u(), &frame.v()}) {
+      for (std::uint8_t b : plane->data()) {
+        h = (h ^ b) * 0x100000001B3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Sequence, SynthesisKnownAnswer) {
+  EXPECT_EQ(synthesis_digest(SequenceKind::kForemanLike),
+            0x7787830D76F2F2A0ULL);
+  EXPECT_EQ(synthesis_digest(SequenceKind::kAkiyoLike), 0x11FBBBB815A0DCD2ULL);
+  EXPECT_EQ(synthesis_digest(SequenceKind::kGardenLike),
+            0xD54A6105FEE91F71ULL);
 }
 
 TEST(YuvIo, WriteReadRoundTrip) {

@@ -8,7 +8,9 @@
 // backend's sequential search (full search +/-7, diamond +/-15 with half-pel,
 // each with and without a penalty) and compares the results and the
 // OpCounters, so the batched lane replay and its vector lowering (NEON on
-// aarch64) are checked wherever this binary runs.
+// aarch64) are checked wherever this binary runs. Last, it digests the
+// first 30 frames of each synthetic clip against known answers, since the
+// clips must be the same bytes on every architecture.
 //
 // This is deliberately NOT a gtest binary: it is the smoke test the CI
 // aarch64 cross-compile job runs under qemu-user, where only the standard
@@ -27,6 +29,7 @@
 #include "common/rng.h"
 #include "energy/op_counters.h"
 #include "video/frame.h"
+#include "video/sequence.h"
 
 using namespace pbpair;
 using codec::kernels::Backend;
@@ -322,6 +325,41 @@ void check_motion_search(const std::vector<Search>& want, Backend backend,
   }
 }
 
+// FNV-1a 64 over each frame's Y, U and V bytes, frames 0..29 of the QCIF
+// clip at seed 2005; tests/test_video.cpp pins the same three values.
+void check_synthesis_known_answer() {
+  struct KnownAnswer {
+    video::SequenceKind kind;
+    std::uint64_t digest;
+  };
+  const KnownAnswer answers[] = {
+      {video::SequenceKind::kForemanLike, 0x7787830D76F2F2A0ULL},
+      {video::SequenceKind::kAkiyoLike, 0x11FBBBB815A0DCD2ULL},
+      {video::SequenceKind::kGardenLike, 0xD54A6105FEE91F71ULL},
+  };
+  const int before = g_failures;
+  for (const KnownAnswer& answer : answers) {
+    const video::SyntheticSequence seq =
+        video::make_paper_sequence(answer.kind, 2005);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (int i = 0; i < 30; ++i) {
+      const video::YuvFrame frame = seq.frame_at(i);
+      for (const video::Plane* plane : {&frame.y(), &frame.u(), &frame.v()}) {
+        for (std::uint8_t b : plane->data()) h = (h ^ b) * 0x100000001B3ULL;
+      }
+    }
+    if (h != answer.digest) {
+      std::printf("MISMATCH: %s synthesis digest %016llx, expected %016llx\n",
+                  video::sequence_kind_name(answer.kind),
+                  static_cast<unsigned long long>(h),
+                  static_cast<unsigned long long>(answer.digest));
+      ++g_failures;
+    }
+  }
+  std::printf("synthesis known answer: %s\n",
+              g_failures == before ? "ok" : "FAILED");
+}
+
 }  // namespace
 
 int main() {
@@ -346,6 +384,7 @@ int main() {
   if (codec::kernels::supported_backends().size() == 1) {
     std::printf("scalar backend only on this machine; dispatch sanity ok\n");
   }
+  check_synthesis_known_answer();
   std::printf(g_failures == 0 ? "kernel_selftest: OK\n"
                               : "kernel_selftest: %d mismatches\n",
               g_failures);
