@@ -5,9 +5,8 @@
 //   1. ns/call for every dispatched kernel, per available backend (median of
 //      five timed passes after a warmup pass), plus the best-SIMD / scalar
 //      speedup. Each cell records the backend the kernel actually resolved
-//      to — a table can inherit a slot from scalar (SSE2 quantize) or from a
-//      narrower ISA (AVX-512 DCT runs the AVX2 code), and the speedup column
-//      only credits genuine vector implementations;
+//      to — a table can inherit a slot from scalar (SSE2 quantize), and the
+//      speedup column only credits genuine vector implementations;
 //   2. wall-clock of a reduced fig5-style sweep (3 clips x 5 schemes) run
 //      serial-scalar, serial-SIMD, and SIMD across the thread pool;
 //   3. the invariant the whole design rests on: encoding energy and op
@@ -169,13 +168,6 @@ std::vector<KernelTiming> time_all_kernels(const Fixtures& fx) {
     slot(KernelId::kSad16x16) = time_kernel([&](int b) {
       sink(table->sad_16x16(fx.cur_block(b), Fixtures::kStride,
                             fx.ref_block(b), Fixtures::kStride));
-    });
-    slot(KernelId::kSad16x16Cutoff) = time_kernel([&](int b) {
-      int rows = 0;
-      sink(table->sad_16x16_cutoff(fx.cur_block(b), Fixtures::kStride,
-                                   fx.ref_block(b), Fixtures::kStride,
-                                   fx.cutoffs[b], &rows));
-      sink(rows);
     });
     slot(KernelId::kSadSelf16x16) = time_kernel([&](int b) {
       sink(table->sad_self_16x16(fx.cur_block(b), Fixtures::kStride));

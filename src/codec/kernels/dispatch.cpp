@@ -13,14 +13,12 @@ namespace pbpair::codec::kernels {
 // backend was compiled out (wrong architecture).
 const KernelTable* sse2_table_or_null();
 const KernelTable* avx2_table_or_null();
-const KernelTable* avx512_table_or_null();
 const KernelTable* neon_table_or_null();
 
 namespace {
 
 constexpr Backend kAllBackends[] = {Backend::kScalar, Backend::kSse2,
-                                    Backend::kAvx2, Backend::kAvx512,
-                                    Backend::kNeon};
+                                    Backend::kAvx2, Backend::kNeon};
 
 bool cpu_supports(Backend backend) {
   switch (backend) {
@@ -38,17 +36,6 @@ bool cpu_supports(Backend backend) {
 #else
       return false;
 #endif
-    case Backend::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      // The kernels use 512-bit integer ops plus the BW/DQ/VL extensions
-      // (every AVX-512 server/client core since Skylake-X has all four).
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512vl");
-#else
-      return false;
-#endif
     case Backend::kNeon:
 #if defined(__aarch64__)
       return true;  // AdvSIMD is architecturally mandatory on AArch64
@@ -60,9 +47,8 @@ bool cpu_supports(Backend backend) {
 }
 
 const KernelTable* detect_default() {
-  // Env override first: PBPAIR_KERNELS=scalar|sse2|avx2|avx512|neon pins a
-  // backend (unknown or unsupported values fall back to auto, with a
-  // warning).
+  // Env override first: PBPAIR_KERNELS=scalar|sse2|avx2|neon pins a backend
+  // (unknown or unsupported values fall back to auto, with a warning).
   const char* env = std::getenv("PBPAIR_KERNELS");
   if (env != nullptr && *env != '\0' && std::strcmp(env, "auto") != 0) {
     for (Backend backend : kAllBackends) {
@@ -98,8 +84,6 @@ const KernelTable* table_for(Backend backend) {
       return sse2_table_or_null();
     case Backend::kAvx2:
       return avx2_table_or_null();
-    case Backend::kAvx512:
-      return avx512_table_or_null();
     case Backend::kNeon:
       return neon_table_or_null();
   }
@@ -135,8 +119,6 @@ const char* backend_name(Backend backend) {
       return "sse2";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
     case Backend::kNeon:
       return "neon";
   }
@@ -147,8 +129,6 @@ const char* kernel_name(KernelId id) {
   switch (id) {
     case KernelId::kSad16x16:
       return "sad_16x16";
-    case KernelId::kSad16x16Cutoff:
-      return "sad_16x16_cutoff";
     case KernelId::kSadSelf16x16:
       return "sad_self_16x16";
     case KernelId::kSad16x16X4:

@@ -3,8 +3,7 @@
 // Every hot inner loop of the codec (SAD — single, batched, and half-pel —
 // DCT/IDCT, quant/dequant, and motion-compensated prediction) is a kernel
 // behind a function-pointer table selected once at startup from the CPU's
-// capabilities (overridable with
-// PBPAIR_KERNELS=scalar|sse2|avx2|avx512|neon|auto).
+// capabilities (overridable with PBPAIR_KERNELS=scalar|sse2|avx2|neon|auto).
 //
 // The critical invariant: a kernel computes EXACTLY the same result as the
 // scalar reference — same values, same early-exit row counts — and carries
@@ -17,9 +16,9 @@
 //
 // Every table also records, per kernel slot, which backend's implementation
 // actually fills it (`origin`). A backend that lacks a vector path for some
-// kernel inherits the scalar (or a lower backend's) function — and the
-// origin record makes that fallback visible to benches and tests, so a
-// no-op vector path can never masquerade as a speedup.
+// kernel inherits the scalar function — and the origin record makes that
+// fallback visible to benches and tests, so a no-op vector path can never
+// masquerade as a speedup.
 //
 // Kernels operate on raw rows (pointer + stride in pixels) so they carry no
 // dependency on video::Plane; bounds checking is the wrappers' job.
@@ -34,17 +33,15 @@ enum class Backend {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
-  kNeon = 4,
+  kNeon = 3,
 };
 
-inline constexpr int kNumBackends = 5;
+inline constexpr int kNumBackends = 4;
 
 /// One entry per KernelTable function-pointer slot, used to index the
 /// per-kernel `origin` record.
 enum class KernelId {
   kSad16x16 = 0,
-  kSad16x16Cutoff,
   kSadSelf16x16,
   kSad16x16X4,
   kSad16x16X8,
@@ -69,16 +66,6 @@ struct KernelTable {
   std::int64_t (*sad_16x16)(const std::uint8_t* cur, int cur_stride,
                             const std::uint8_t* ref, int ref_stride);
 
-  /// SAD with per-row early termination: after each completed row the
-  /// partial sum is compared against `cutoff` and the kernel returns as
-  /// soon as sum >= cutoff. `*rows_processed` is set to the number of rows
-  /// fully accumulated (1..16) — the wrapper meters 16 pixels per row, so
-  /// this count must be identical across backends (it is: every backend
-  /// checks the cutoff at the same row boundaries as the scalar loop).
-  std::int64_t (*sad_16x16_cutoff)(const std::uint8_t* cur, int cur_stride,
-                                   const std::uint8_t* ref, int ref_stride,
-                                   std::int64_t cutoff, int* rows_processed);
-
   /// Deviation of a 16x16 block from its own (truncated) mean.
   std::int64_t (*sad_self_16x16)(const std::uint8_t* cur, int cur_stride);
 
@@ -89,8 +76,8 @@ struct KernelTable {
   /// 65280, fits 16 bits. No cutoff — the batched motion-search wavefront
   /// (codec/motion_search.cpp) reads each candidate's early-exit row from
   /// the table (the first y with rows[y][i] >= cutoff, exactly where
-  /// sad_16x16_cutoff stops), so the kernels stay branch-free and share the
-  /// current-block rows across candidates.
+  /// sad_16x16_cutoff_scalar stops), so the kernels stay branch-free and
+  /// share the current-block rows across candidates.
   void (*sad_16x16_x4)(const std::uint8_t* cur, int cur_stride,
                        const std::uint8_t* const refs[4], int ref_stride,
                        std::uint16_t rows[16][4]);
@@ -161,6 +148,18 @@ struct KernelTable {
 /// validated against it in tests/test_kernels.cpp).
 const KernelTable& scalar_table();
 
+/// SAD with per-row early termination, the reference the batched replay
+/// reproduces: after each completed row the partial sum is compared
+/// against `cutoff` and the loop returns as soon as sum >= cutoff.
+/// `*rows_processed` is set to the number of rows fully accumulated
+/// (1..16); the wrapper meters 16 pixels per row. In the codec only the
+/// scalar backend's sequential motion search calls it, so it has no table
+/// slot.
+std::int64_t sad_16x16_cutoff_scalar(const std::uint8_t* cur, int cur_stride,
+                                     const std::uint8_t* ref, int ref_stride,
+                                     std::int64_t cutoff,
+                                     int* rows_processed);
+
 /// Table for a specific backend, or nullptr when the backend was compiled
 /// out or the running CPU lacks the instruction set.
 const KernelTable* table_for(Backend backend);
@@ -171,7 +170,7 @@ std::vector<Backend> supported_backends();
 
 /// The table in use. Selected on first call: the best supported backend,
 /// unless the PBPAIR_KERNELS environment variable
-/// (scalar|sse2|avx2|avx512|neon|auto) names another one.
+/// (scalar|sse2|avx2|neon|auto) names another one.
 const KernelTable& active();
 
 /// Switches the active table; returns false (and keeps the current table)

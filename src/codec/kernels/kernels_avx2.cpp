@@ -4,9 +4,8 @@
 // Bit-exactness notes (each proven against the scalar reference in
 // tests/test_kernels.cpp):
 //  - SAD: VPSADBW is an exact sum of absolute byte differences; integer
-//    addition is associative, so lane order cannot change the total. The
-//    cutoff variant keeps the scalar per-row termination points, and the
-//    batched x4/x8 kernels' per-row running totals equal the scalar
+//    addition is associative, so lane order cannot change the total, and
+//    the batched x4/x8 kernels' per-row running totals equal the scalar
 //    loop's partial sums.
 //  - DCT/IDCT: the VPMADDWD formulation documented in kernels_x86_128.inl,
 //    widened to 8 lanes — exact int32 arithmetic end to end, including the
@@ -59,25 +58,6 @@ std::int64_t sad_16x16_avx2(const std::uint8_t* cur, int cur_stride,
     acc = _mm256_add_epi64(acc, _mm256_sad_epu8(c, r));
   }
   return hsum_sad256(acc);
-}
-
-std::int64_t sad_16x16_cutoff_avx2(const std::uint8_t* cur, int cur_stride,
-                                   const std::uint8_t* ref, int ref_stride,
-                                   std::int64_t cutoff, int* rows_processed) {
-  // Row-at-a-time: the scalar loop re-checks the cutoff after every row,
-  // and the metered row count must match it exactly, so no row pairing.
-  std::int64_t sad = 0;
-  for (int y = 0; y < 16; ++y) {
-    __m128i c = load_row128(cur, cur_stride, y);
-    __m128i r = load_row128(ref, ref_stride, y);
-    sad += x86_sad_hsum(_mm_sad_epu8(c, r));
-    if (sad >= cutoff) {
-      *rows_processed = y + 1;
-      return sad;
-    }
-  }
-  *rows_processed = 16;
-  return sad;
 }
 
 std::int64_t sad_self_16x16_avx2(const std::uint8_t* cur, int cur_stride) {
@@ -364,8 +344,6 @@ const KernelTable* avx2_table_or_null() {
     };
     t.sad_16x16 = &sad_16x16_avx2;
     adopt(KernelId::kSad16x16);
-    t.sad_16x16_cutoff = &sad_16x16_cutoff_avx2;
-    adopt(KernelId::kSad16x16Cutoff);
     t.sad_self_16x16 = &sad_self_16x16_avx2;
     adopt(KernelId::kSadSelf16x16);
     t.sad_16x16_x4 = &sad_16x16_xn_avx2<4>;

@@ -5,8 +5,7 @@
 // on x86-only development machines.
 //
 // Bit-exactness notes:
-//  - SAD: VABD/VADDLV sum absolute byte differences exactly; the cutoff
-//    variant keeps the scalar per-row termination points.
+//  - SAD: VABD/VADDLV sum absolute byte differences exactly.
 //  - Half-pel: VRHADD computes (a + b + 1) >> 1 exactly; the center phase
 //    widens to 16-bit lanes for (a+b+c+d+2)>>2 (rounding-average
 //    composition would differ from the scalar formula).
@@ -39,23 +38,6 @@ std::int64_t sad_16x16_neon(const std::uint8_t* cur, int cur_stride,
     acc = vpadalq_u8(acc, vabdq_u8(c, r));
   }
   return static_cast<std::int64_t>(vaddlvq_u16(acc));
-}
-
-std::int64_t sad_16x16_cutoff_neon(const std::uint8_t* cur, int cur_stride,
-                                   const std::uint8_t* ref, int ref_stride,
-                                   std::int64_t cutoff, int* rows_processed) {
-  std::int64_t sad = 0;
-  for (int y = 0; y < 16; ++y) {
-    uint8x16_t c = vld1q_u8(cur + static_cast<std::ptrdiff_t>(y) * cur_stride);
-    uint8x16_t r = vld1q_u8(ref + static_cast<std::ptrdiff_t>(y) * ref_stride);
-    sad += vaddlvq_u8(vabdq_u8(c, r));
-    if (sad >= cutoff) {  // same row boundary the scalar loop checks at
-      *rows_processed = y + 1;
-      return sad;
-    }
-  }
-  *rows_processed = 16;
-  return sad;
 }
 
 std::int64_t sad_self_16x16_neon(const std::uint8_t* cur, int cur_stride) {
@@ -436,7 +418,6 @@ const KernelTable* neon_table_or_null() {
     t.name = "neon";
     for (int i = 0; i < kNumKernels; ++i) t.origin[i] = Backend::kNeon;
     t.sad_16x16 = &sad_16x16_neon;
-    t.sad_16x16_cutoff = &sad_16x16_cutoff_neon;
     t.sad_self_16x16 = &sad_self_16x16_neon;
     t.sad_16x16_x4 = &sad_16x16_xn_neon<4>;
     t.sad_16x16_x8 = &sad_16x16_xn_neon<8>;

@@ -23,26 +23,6 @@ std::int64_t sad_16x16_scalar(const std::uint8_t* cur, int cur_stride,
   return sad;
 }
 
-std::int64_t sad_16x16_cutoff_scalar(const std::uint8_t* cur, int cur_stride,
-                                     const std::uint8_t* ref, int ref_stride,
-                                     std::int64_t cutoff,
-                                     int* rows_processed) {
-  std::int64_t sad = 0;
-  for (int y = 0; y < 16; ++y) {
-    const std::uint8_t* crow = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
-    const std::uint8_t* rrow = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
-    for (int x = 0; x < 16; ++x) {
-      sad += common::iabs(static_cast<int>(crow[x]) - static_cast<int>(rrow[x]));
-    }
-    if (sad >= cutoff) {  // cannot become the best candidate
-      *rows_processed = y + 1;
-      return sad;
-    }
-  }
-  *rows_processed = 16;
-  return sad;
-}
-
 std::int64_t sad_self_16x16_scalar(const std::uint8_t* cur, int cur_stride) {
   std::int64_t sum = 0;
   for (int y = 0; y < 16; ++y) {
@@ -243,7 +223,6 @@ KernelTable make_scalar_table() {
   t.backend = Backend::kScalar;
   t.name = "scalar";
   t.sad_16x16 = &sad_16x16_scalar;
-  t.sad_16x16_cutoff = &sad_16x16_cutoff_scalar;
   t.sad_self_16x16 = &sad_self_16x16_scalar;
   t.sad_16x16_x4 = &sad_16x16_xn_scalar<4>;
   t.sad_16x16_x8 = &sad_16x16_xn_scalar<8>;
@@ -264,6 +243,26 @@ KernelTable make_scalar_table() {
 const KernelTable& scalar_table() {
   static const KernelTable table = make_scalar_table();
   return table;
+}
+
+std::int64_t sad_16x16_cutoff_scalar(const std::uint8_t* cur, int cur_stride,
+                                     const std::uint8_t* ref, int ref_stride,
+                                     std::int64_t cutoff,
+                                     int* rows_processed) {
+  std::int64_t sad = 0;
+  for (int y = 0; y < 16; ++y) {
+    const std::uint8_t* crow = cur + static_cast<std::ptrdiff_t>(y) * cur_stride;
+    const std::uint8_t* rrow = ref + static_cast<std::ptrdiff_t>(y) * ref_stride;
+    for (int x = 0; x < 16; ++x) {
+      sad += common::iabs(static_cast<int>(crow[x]) - static_cast<int>(rrow[x]));
+    }
+    if (sad >= cutoff) {  // cannot become the best candidate
+      *rows_processed = y + 1;
+      return sad;
+    }
+  }
+  *rows_processed = 16;
+  return sad;
 }
 
 }  // namespace pbpair::codec::kernels

@@ -1,11 +1,9 @@
 // SSE2 kernels. PSADBW computes the sum of absolute byte differences
-// exactly, so the SAD kernels return the same integers as the scalar loop;
-// the cutoff variant keeps the scalar's per-row termination points so the
-// metered row count is identical too. The DCT/IDCT use the PMADDWD
-// formulation from kernels_x86_128.inl (exact, see proofs there). Quant and
-// dequant need SSE4.1+ integer multiplies to stay bit-exact, so on a
-// bare-SSE2 selection they fall back to the scalar reference — recorded
-// honestly in the table's per-kernel origin.
+// exactly, so the SAD kernels return the same integers as the scalar loop.
+// The DCT/IDCT use the PMADDWD formulation from kernels_x86_128.inl (exact,
+// see proofs there). Quant and dequant need SSE4.1+ integer multiplies to
+// stay bit-exact, so on a bare-SSE2 selection they fall back to the scalar
+// reference — recorded honestly in the table's per-kernel origin.
 #include "codec/kernels/kernels.h"
 
 #if defined(__SSE2__)
@@ -34,23 +32,6 @@ std::int64_t sad_16x16_sse2(const std::uint8_t* cur, int cur_stride,
     acc = _mm_add_epi64(acc, _mm_sad_epu8(c, r));
   }
   return x86_sad_hsum(acc);
-}
-
-std::int64_t sad_16x16_cutoff_sse2(const std::uint8_t* cur, int cur_stride,
-                                   const std::uint8_t* ref, int ref_stride,
-                                   std::int64_t cutoff, int* rows_processed) {
-  std::int64_t sad = 0;
-  for (int y = 0; y < 16; ++y) {
-    __m128i c = x86_loadu(cur + static_cast<std::ptrdiff_t>(y) * cur_stride);
-    __m128i r = x86_loadu(ref + static_cast<std::ptrdiff_t>(y) * ref_stride);
-    sad += x86_sad_hsum(_mm_sad_epu8(c, r));
-    if (sad >= cutoff) {  // same row boundary the scalar loop checks at
-      *rows_processed = y + 1;
-      return sad;
-    }
-  }
-  *rows_processed = 16;
-  return sad;
 }
 
 std::int64_t sad_self_16x16_sse2(const std::uint8_t* cur, int cur_stride) {
@@ -87,8 +68,6 @@ const KernelTable* sse2_table_or_null() {
     };
     t.sad_16x16 = &sad_16x16_sse2;
     adopt(KernelId::kSad16x16);
-    t.sad_16x16_cutoff = &sad_16x16_cutoff_sse2;
-    adopt(KernelId::kSad16x16Cutoff);
     t.sad_self_16x16 = &sad_self_16x16_sse2;
     adopt(KernelId::kSadSelf16x16);
     t.sad_16x16_x4 = &sad_16x16_x4_128;

@@ -31,7 +31,7 @@ std::int64_t sad_16x16_cutoff(const video::Plane& cur, int cx, int cy,
   PB_DCHECK(rx >= 0 && ry >= 0 && rx + 16 <= ref.width() &&
             ry + 16 <= ref.height());
   int rows = 0;
-  std::int64_t sad = kernels::active().sad_16x16_cutoff(
+  std::int64_t sad = kernels::sad_16x16_cutoff_scalar(
       cur.row(cy) + cx, cur.width(), ref.row(ry) + rx, ref.width(), cutoff,
       &rows);
   meter_sad_rows(rows, ops);

@@ -34,6 +34,8 @@ std::int64_t sad_16x16(const video::Plane& cur, int cx, int cy,
 
 /// SAD with early termination: stops (returning a value >= `cutoff`) once
 /// the partial sum exceeds `cutoff`. Meters only the pixels actually read.
+/// Runs kernels::sad_16x16_cutoff_scalar on every backend; SIMD backends
+/// reach the same exits through the batched row tables instead.
 std::int64_t sad_16x16_cutoff(const video::Plane& cur, int cx, int cy,
                               const video::Plane& ref, int rx, int ry,
                               std::int64_t cutoff, energy::OpCounters& ops);

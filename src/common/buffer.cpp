@@ -16,8 +16,8 @@
 #define PB_POISON(ptr, size) __asan_poison_memory_region((ptr), (size))
 #define PB_UNPOISON(ptr, size) __asan_unpoison_memory_region((ptr), (size))
 #else
-#define PB_POISON(ptr, size) ((void)0)
-#define PB_UNPOISON(ptr, size) ((void)0)
+#define PB_POISON(ptr, size) ((void)(ptr), (void)(size))
+#define PB_UNPOISON(ptr, size) ((void)(ptr), (void)(size))
 #endif
 
 namespace pbpair::common {

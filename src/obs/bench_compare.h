@@ -27,8 +27,9 @@ struct Gate {
   std::string rows;    // array of row objects, e.g. "fec_rows"
   /// Column name. A leading '*' matches every column with that suffix
   /// ("*_ns": each per-backend kernel timing); such a column missing from
-  /// the current row only warns, because a runner without AVX-512 has no
-  /// avx512_ns. A named column missing from the current row fails.
+  /// the current row only warns, because a runner times only the backends
+  /// its CPU has (an aarch64 runner has no sse2_ns). A named column
+  /// missing from the current row fails.
   std::string field;
   bool higher_is_better = false;
   /// Absolute: fails when current is worse than baseline by more than

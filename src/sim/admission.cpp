@@ -9,10 +9,12 @@
 namespace pbpair::sim {
 namespace {
 
-// FNV-1a 64 over the label bytes; the per-shard weight mixes the label
-// hash with the shard index through a splitmix64 finalizer. No wall clock,
-// no pointers — the weight is a pure function of (label, shard).
-std::uint64_t fnv1a(const std::string& text) {
+// FNV-1a-style 64-bit hash of the label bytes; the per-shard weight mixes
+// it with the shard index through a splitmix64 finalizer. No wall clock, no
+// pointers — the weight is a pure function of (label, shard). The seed is
+// not FNV's offset basis (14695981039346656037), so this is not FNV-1a; it
+// stays because changing it would re-pin every session's shard.
+std::uint64_t label_hash(const std::string& text) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : text) {
     h ^= static_cast<std::uint8_t>(c);
@@ -52,11 +54,11 @@ const char* admit_decision_name(AdmitDecision decision) {
 std::size_t rendezvous_shard(const std::string& label, std::size_t shards) {
   PB_CHECK(shards > 0);
   if (shards == 1) return 0;
-  const std::uint64_t label_hash = fnv1a(label);
+  const std::uint64_t hash = label_hash(label);
   std::size_t best = 0;
   std::uint64_t best_weight = 0;
   for (std::size_t k = 0; k < shards; ++k) {
-    const std::uint64_t weight = mix64(label_hash ^ mix64(k));
+    const std::uint64_t weight = mix64(hash ^ mix64(k));
     if (k == 0 || weight > best_weight) {
       best = k;
       best_weight = weight;

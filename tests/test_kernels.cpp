@@ -82,38 +82,6 @@ TEST(Kernels, SadMatchesScalarAcrossAlignments) {
   }
 }
 
-TEST(Kernels, SadCutoffMatchesScalarIncludingRowCounts) {
-  const KernelTable& scalar = codec::kernels::scalar_table();
-  PixelField cur(4), ref(5);
-  common::Pcg32 rng(6);
-  for (const KernelTable* simd : simd_tables()) {
-    for (int trial = 0; trial < 1000; ++trial) {
-      int cx = rng.next_in_range(0, cur.stride - 16);
-      int cy = rng.next_in_range(0, cur.rows - 16);
-      int rx = rng.next_in_range(0, ref.stride - 16);
-      int ry = rng.next_in_range(0, ref.rows - 16);
-      // Cutoffs spanning instant exit (<= 0), mid-block exits, and
-      // never-exits (full 16 rows).
-      std::int64_t cutoff;
-      switch (trial % 4) {
-        case 0: cutoff = rng.next_in_range(-5, 5); break;
-        case 1: cutoff = rng.next_in_range(1, 4000); break;
-        case 2: cutoff = rng.next_in_range(4000, 40000); break;
-        default: cutoff = 1'000'000; break;
-      }
-      int want_rows = -1, got_rows = -1;
-      std::int64_t want =
-          scalar.sad_16x16_cutoff(cur.at(cx, cy), cur.stride, ref.at(rx, ry),
-                                  ref.stride, cutoff, &want_rows);
-      std::int64_t got =
-          simd->sad_16x16_cutoff(cur.at(cx, cy), cur.stride, ref.at(rx, ry),
-                                 ref.stride, cutoff, &got_rows);
-      ASSERT_EQ(want, got) << simd->name << " trial " << trial;
-      ASSERT_EQ(want_rows, got_rows) << simd->name << " trial " << trial;
-    }
-  }
-}
-
 TEST(Kernels, SadSelfMatchesScalar) {
   const KernelTable& scalar = codec::kernels::scalar_table();
   common::Pcg32 rng(8);
@@ -212,9 +180,8 @@ TEST(Kernels, BatchedSadMatchesScalarSingleCalls) {
           << table->name << " x8 trial " << trial;
       for (int i = 0; i < 8; ++i) {
         int want_rows = -1;
-        const std::int64_t want_sad =
-            scalar.sad_16x16_cutoff(cur_block, cur_stride, refs[i],
-                                    ref_stride, cutoffs[i], &want_rows);
+        const std::int64_t want_sad = codec::kernels::sad_16x16_cutoff_scalar(
+            cur_block, cur_stride, refs[i], ref_stride, cutoffs[i], &want_rows);
         const std::int64_t full =
             scalar.sad_16x16(cur_block, cur_stride, refs[i], ref_stride);
         const std::pair<std::int64_t, int> want{want_sad, want_rows};
@@ -229,7 +196,9 @@ TEST(Kernels, BatchedSadMatchesScalarSingleCalls) {
               << table->name << " x4 lane " << i << " trial " << trial;
         }
       }
-      if (extreme) ASSERT_EQ(got8[15][7], 65280) << table->name;
+      if (extreme) {
+        ASSERT_EQ(got8[15][7], 65280) << table->name;
+      }
     }
   }
 }

@@ -73,8 +73,8 @@ bool exit_matches(const std::uint16_t (&rows)[16][N], int lane,
 }
 
 // The batched kernels' per-row contract: every table entry equals the
-// scalar kernel's, each lane yields sad_16x16_cutoff's (sad, rows) for
-// cutoffs from an instant exit to none at all, and the last row is the
+// scalar kernel's, each lane yields sad_16x16_cutoff_scalar's (sad, rows)
+// for cutoffs from an instant exit to none at all, and the last row is the
 // full SAD.
 void check_batched(const KernelTable& scalar, const KernelTable& simd,
                    const std::uint8_t* cur, int cur_stride,
@@ -96,7 +96,7 @@ void check_batched(const KernelTable& scalar, const KernelTable& simd,
   for (int i = 0; i < 8; ++i) {
     for (std::int64_t cutoff : kCutoffs) {
       int rows = -1;
-      const std::int64_t sad = scalar.sad_16x16_cutoff(
+      const std::int64_t sad = codec::kernels::sad_16x16_cutoff_scalar(
           cur, cur_stride, refs[i], ref_stride, cutoff, &rows);
       if (!exit_matches(got8, i, cutoff, sad, rows)) {
         fail(simd.name, "sad_16x16_x8 row table", trial);
@@ -145,23 +145,15 @@ void check_backend(const KernelTable& scalar, const KernelTable& simd) {
         simd.sad_self_16x16(cur.at(cx, cy), kStride)) {
       fail(simd.name, "sad_self_16x16", trial);
     }
-    int want_rows = -1, got_rows = -1;
-    std::int64_t want =
-        scalar.sad_16x16_cutoff(cur.at(cx, cy), kStride, ref.at(rx, ry),
-                                kStride, cutoff, &want_rows);
-    std::int64_t got = simd.sad_16x16_cutoff(
-        cur.at(cx, cy), kStride, ref.at(rx, ry), kStride, cutoff, &got_rows);
-    if (want != got || want_rows != got_rows) {
-      fail(simd.name, "sad_16x16_cutoff", trial);
-    }
-
     const int hx = trial & 1;
     const int hy = (trial >> 1) & 1;
-    want = scalar.sad_16x16_hpel_cutoff(cur.at(cx, cy), kStride,
-                                        ref.at(rx, ry), kStride, hx, hy,
-                                        cutoff, &want_rows);
-    got = simd.sad_16x16_hpel_cutoff(cur.at(cx, cy), kStride, ref.at(rx, ry),
-                                     kStride, hx, hy, cutoff, &got_rows);
+    int want_rows = -1, got_rows = -1;
+    const std::int64_t want = scalar.sad_16x16_hpel_cutoff(
+        cur.at(cx, cy), kStride, ref.at(rx, ry), kStride, hx, hy, cutoff,
+        &want_rows);
+    const std::int64_t got = simd.sad_16x16_hpel_cutoff(
+        cur.at(cx, cy), kStride, ref.at(rx, ry), kStride, hx, hy, cutoff,
+        &got_rows);
     if (want != got || want_rows != got_rows) {
       fail(simd.name, "sad_16x16_hpel_cutoff", trial);
     }
