@@ -36,11 +36,20 @@ sim::FrameSource clip_source(video::SequenceKind kind, int frames);
 /// The paper's encoder/pipeline setup.
 sim::PipelineConfig paper_pipeline_config(int frames);
 
-/// Calibrates PBPAIR's Intra_Th so its lossless-channel encoded size is
-/// closest to `target_bytes` on this clip (shorter calibration runs keep
-/// bench time sane; size is monotone in Intra_Th so this transfers).
-double calibrate_pbpair_to_size(video::SequenceKind kind,
-                                std::uint64_t target_bytes, double plr);
+/// One clip's calibration goal: PBPAIR's encoded size over a
+/// bench_frames() run of `kind` should come closest to `target_bytes`.
+struct SizeTarget {
+  video::SequenceKind kind;
+  std::uint64_t target_bytes;
+};
+
+/// Calibrates PBPAIR's Intra_Th per target so its lossless-channel encoded
+/// size is closest to the target on that clip (shorter calibration runs
+/// keep bench time sane; size is monotone in Intra_Th so this transfers).
+/// The bisections advance in lockstep, one run_parallel_sweep per step;
+/// result[i] belongs to targets[i].
+std::vector<double> calibrate_pbpair_to_size(
+    const std::vector<SizeTarget>& targets, double plr);
 
 /// Runs the pipeline over a cached clip.
 sim::PipelineResult run_clip(video::SequenceKind kind,

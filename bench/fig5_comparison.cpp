@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "common/thread_pool.h"
 #include "net/loss_model.h"
 
 using namespace pbpair;
@@ -31,27 +30,31 @@ int main() {
 
   const sim::PipelineConfig config = bench::paper_pipeline_config(frames);
 
-  // Phase 1, parallel over the clips: PGOP-3 lossless size target, then
-  // the Intra_Th calibration bisection (§4.2). Each clip's calibration is
-  // an independent serial bisection; the clips run concurrently.
-  double intra_ths[3] = {};
-  common::parallel_for(3, sim::sweep_thread_count(), [&](std::size_t s) {
-    video::SequenceKind kind = bench::kPaperClips[s];
+  // Phase 1: the PGOP-3 lossless size targets as one sweep, then the three
+  // clips' Intra_Th calibration bisections (§4.2) in lockstep.
+  std::vector<sim::SweepTask> size_tasks;
+  for (video::SequenceKind kind : bench::kPaperClips) {
     // Size target: PGOP-3 on a lossless channel (compression comparison).
-    sim::PipelineResult pgop_clean =
-        bench::run_clip(kind, sim::SchemeSpec::pgop(3), nullptr, config);
-    intra_ths[s] =
-        bench::calibrate_pbpair_to_size(kind, pgop_clean.total_bytes, plr);
-  });
+    size_tasks.push_back(
+        bench::clip_task(kind, sim::SchemeSpec::pgop(3), config));
+  }
+  const std::vector<sim::PipelineResult> pgop_clean =
+      sim::run_parallel_sweep(size_tasks);
+  std::vector<bench::SizeTarget> targets;
+  for (int s = 0; s < 3; ++s) {
+    targets.push_back({bench::kPaperClips[s], pgop_clean[s].total_bytes});
+  }
+  const std::vector<double> intra_ths =
+      bench::calibrate_pbpair_to_size(targets, plr);
   for (int s = 0; s < 3; ++s) {
     std::printf("calibrated Intra_Th for %s: %.4f\n",
                 video::sequence_kind_name(bench::kPaperClips[s]),
                 intra_ths[s]);
   }
 
-  // Phase 2: all 15 (clip, scheme) measurement runs fan out across the
-  // pool; every task builds its own loss model with the same seed, so the
-  // loss pattern — and the whole report — is identical to the serial run.
+  // Phase 2: all 15 (clip, scheme) measurement runs in one sweep; every
+  // task builds its own loss model with the same seed, so the loss
+  // pattern — and the whole report — is identical to the serial run.
   std::vector<sim::SweepTask> tasks;
   for (int s = 0; s < 3; ++s) {
     video::SequenceKind kind = bench::kPaperClips[s];

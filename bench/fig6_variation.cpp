@@ -32,8 +32,9 @@ int main() {
   // Size-match PBPAIR to PGOP-1 (the paper's Fig 6 trio are size-similar).
   sim::PipelineResult pgop_clean =
       bench::run_clip(kind, sim::SchemeSpec::pgop(1), nullptr, config);
-  double intra_th = bench::calibrate_pbpair_to_size(
-      kind, pgop_clean.total_bytes * bench::bench_frames() / frames, 0.10);
+  const double intra_th = bench::calibrate_pbpair_to_size(
+      {{kind, pgop_clean.total_bytes * bench::bench_frames() / frames}},
+      0.10)[0];
   core::PbpairConfig pbpair;
   pbpair.intra_th = intra_th;
   pbpair.plr = 0.10;

@@ -34,8 +34,8 @@ int main() {
     sim::PipelineConfig config = bench::paper_pipeline_config(frames);
     sim::PipelineResult pgop_clean =
         bench::run_clip(kind, sim::SchemeSpec::pgop(3), nullptr, config);
-    double intra_th =
-        bench::calibrate_pbpair_to_size(kind, pgop_clean.total_bytes, plr);
+    const double intra_th = bench::calibrate_pbpair_to_size(
+        {{kind, pgop_clean.total_bytes}}, plr)[0];
     core::PbpairConfig pbpair;
     pbpair.intra_th = intra_th;
     pbpair.plr = plr;

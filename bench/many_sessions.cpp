@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/thread_pool.h"
 #include "net/loss_model.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -108,7 +107,7 @@ int main() {
     counts.insert(counts.begin() + 1, std::max(2, max_sessions / 2));
   }
 
-  const int threads = common::default_thread_count();
+  const int threads = sim::sweep_thread_count();
   const int slice = 4;  // serving mode: sessions interleave 4 frames/turn
   std::printf(
       "=== Multi-session serving (base %d frames/session, %d shards, "

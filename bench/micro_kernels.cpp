@@ -8,7 +8,7 @@
 //      to — a table can inherit a slot from scalar (SSE2 quantize), and the
 //      speedup column only credits genuine vector implementations;
 //   2. wall-clock of a reduced fig5-style sweep (3 clips x 5 schemes) run
-//      serial-scalar, serial-SIMD, and SIMD across the thread pool;
+//      serial-scalar, serial-SIMD, and SIMD across 8 sweep workers;
 //   3. the invariant the whole design rests on: encoding energy and op
 //      counters from the SIMD parallel sweep are bit-identical to the
 //      scalar serial baseline.
@@ -28,7 +28,6 @@
 #include "bench_common.h"
 #include "codec/kernels/kernels.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "net/loss_model.h"
 
 using namespace pbpair;
@@ -349,12 +348,12 @@ int main() {
   bench::cached_clip(bench::kPaperClips[1], frames);
   bench::cached_clip(bench::kPaperClips[2], frames);
 
-  const int pool_threads = 8;
+  const int sweep_threads = 8;
   std::printf("\n=== Fig 5-style sweep (3 clips x 5 schemes, %d frames) ===\n",
               frames);
   SweepRun serial_scalar = run_sweep(Backend::kScalar, 1, config);
   SweepRun serial_simd = run_sweep(best, 1, config);
-  SweepRun parallel_simd = run_sweep(best, pool_threads, config);
+  SweepRun parallel_simd = run_sweep(best, sweep_threads, config);
   codec::kernels::set_active(best);
 
   const bool identical =
@@ -369,7 +368,7 @@ int main() {
        sim::format("%.0f", serial_simd.wall_ms),
        sim::format("%.2fx", serial_scalar.wall_ms / serial_simd.wall_ms)});
   sweep_table.add_row(
-      {sim::format("%d-thread %s", pool_threads,
+      {sim::format("%d-thread %s", sweep_threads,
                    codec::kernels::backend_name(best)),
        sim::format("%.0f", parallel_simd.wall_ms),
        sim::format("%.2fx", serial_scalar.wall_ms / parallel_simd.wall_ms)});
@@ -424,7 +423,7 @@ int main() {
       "    \"energy_bit_identical\": %s\n"
       "  }",
       frames, runner_hardware_threads(), serial_scalar.wall_ms,
-      serial_simd.wall_ms, pool_threads, parallel_simd.wall_ms,
+      serial_simd.wall_ms, sweep_threads, parallel_simd.wall_ms,
       serial_scalar.wall_ms / serial_simd.wall_ms,
       serial_scalar.wall_ms / parallel_simd.wall_ms,
       identical ? "true" : "false");

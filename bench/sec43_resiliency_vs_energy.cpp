@@ -26,8 +26,8 @@ int main() {
   const double intra_ths[] = {0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0};
   const double plrs[] = {0.0, 0.05, 0.10, 0.20, 0.30};
 
-  // The whole (PLR, Intra_Th) grid is independent lossless runs — fan it
-  // out across the pool, then emit rows in grid order.
+  // The whole (PLR, Intra_Th) grid is independent lossless runs — run it
+  // as one sweep, then emit rows in grid order.
   std::vector<sim::SweepTask> tasks;
   for (double plr : plrs) {
     for (double th : intra_ths) {

@@ -1,9 +1,11 @@
 #include "sim/session_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -61,6 +63,26 @@ bool take_pending(Shard& shard, std::uint32_t* slot) {
 }
 
 }  // namespace
+
+int sweep_thread_count() {
+  if (const char* env = std::getenv("PBPAIR_THREADS")) {
+    const int n = std::atoi(env);
+    if (n >= 1) return n;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+std::vector<PipelineResult> run_parallel_sweep(
+    const std::vector<SweepTask>& tasks, const SweepOptions& options) {
+  if (tasks.empty()) return {};  // the manager PB_CHECKs a non-empty fleet
+  const int threads =
+      options.threads > 0 ? options.threads : sweep_thread_count();
+  SessionManagerOptions run_options;
+  run_options.threads = static_cast<int>(
+      std::min(static_cast<std::size_t>(threads), tasks.size()));
+  return SessionManager(tasks).run(run_options);
+}
 
 SessionManager::SessionManager(std::vector<SessionSpec> specs)
     : specs_(std::move(specs)) {
@@ -213,6 +235,10 @@ std::vector<PipelineResult> SessionManager::run(
   };
 
   auto worker_loop = [&](std::size_t worker) {
+    // Spawned workers only: the serial path keeps the caller's name.
+    if (obs_on && shard_count > 1) {
+      obs::set_thread_name(format("shard-%02zu", worker));
+    }
     std::uint32_t slot = 0;
     while (remaining.load(std::memory_order_acquire) > 0) {
       if (try_get(worker, &slot)) {

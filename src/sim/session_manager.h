@@ -24,7 +24,8 @@
 //
 // Two scheduling modes:
 //  - frames_per_slice == 0: each session runs to completion on its first
-//    execution (throughput mode, minimal scheduling overhead);
+//    execution (throughput mode, minimal scheduling overhead; the paper's
+//    batch sweeps, sim::run_parallel_sweep, run this way);
 //  - frames_per_slice > 0: sessions advance K frames per execution and
 //    requeue, so many more sessions than workers make progress
 //    concurrently — the serving pattern a latency-bound deployment needs.

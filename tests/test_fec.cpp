@@ -290,6 +290,7 @@ TEST(FecRecovery, RandomizedKOfNMatchesReferenceSolver) {
     for (int i = 0; i < k; ++i) {
       const std::vector<std::uint8_t> wire = serialize_packet(window[i]);
       std::vector<std::uint8_t> sym;
+      sym.reserve(symbol_len);
       sym.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
       sym.push_back(static_cast<std::uint8_t>(wire.size() & 0xFF));
       sym.insert(sym.end(), wire.begin(), wire.end());

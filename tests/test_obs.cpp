@@ -493,7 +493,7 @@ TEST_F(GlobalObs, DeterministicMetricsIdenticalAt1_2_8SweepThreads) {
       baseline = metrics;
       // The deterministic output must actually contain workload counters.
       EXPECT_NE(baseline.find("encoder.frames"), std::string::npos);
-      EXPECT_NE(baseline.find("sweep.tasks"), std::string::npos);
+      EXPECT_NE(baseline.find("session.s000.frames"), std::string::npos);
       EXPECT_NE(baseline.find("net.packets_sent"), std::string::npos);
       EXPECT_EQ(baseline.find("_ns"), std::string::npos);
     } else {

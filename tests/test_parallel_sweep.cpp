@@ -4,13 +4,11 @@
 // scheduling order cannot leak into results.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "net/loss_model.h"
 #include "sim/parallel_sweep.h"
 #include "video/sequence.h"
@@ -120,25 +118,11 @@ TEST(ParallelSweep, LosslessTasksAllowNullFactory) {
   EXPECT_EQ(results[0].channel.packets_dropped, 0u);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h = 0;
-  common::parallel_for(hits.size(), 8, [&hits](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, SubmitAndWaitAllDrains) {
-  common::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_all();
-  EXPECT_EQ(done.load(), 100);
+TEST(ParallelSweep, EmptyTaskListReturnsEmpty) {
+  // SessionManager PB_CHECKs a non-empty fleet; the sweep must not build
+  // one for zero tasks.
+  EXPECT_TRUE(sim::run_parallel_sweep({}).empty());
+  EXPECT_TRUE(sim::run_parallel_sweep({}, sim::SweepOptions{8}).empty());
 }
 
 }  // namespace

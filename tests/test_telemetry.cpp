@@ -225,7 +225,7 @@ TEST(HealthInvariant, TrackingDoesNotChangeBitstreamReportOrJoules) {
     config.frames = 8;
     config.encoder.qp = 10;
     config.encoder.search.range = 4;
-    if (health_on) config.health = obs::HealthConfig{};
+    if (health_on) config.health.emplace();
     net::UniformFrameLoss loss(0.10, /*seed=*/2005);
     return digest(sim::run_pipeline(seq, sim::SchemeSpec::pbpair(pbpair),
                                     &loss, config));

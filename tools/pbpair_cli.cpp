@@ -21,8 +21,8 @@
 // encode/decode work on real raw 4:2:0 material through the PBS container;
 // simulate runs the full lossy pipeline on a synthetic clip and prints the
 // result row; serve multiplexes N concurrent stream sessions (clips
-// rotating over the paper's three, per-session seeds) across the worker
-// pool and prints per-session rows plus the deterministic aggregate
+// rotating over the paper's three, per-session seeds) across the shard
+// workers and prints per-session rows plus the deterministic aggregate
 // (DESIGN.md §9). The observability flags (DESIGN.md §8) enable the
 // metrics/trace layer: --trace turns it on (as does PBPAIR_TRACE=1), the
 // *-json flags export what was collected, and --deterministic restricts
