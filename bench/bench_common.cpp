@@ -54,58 +54,22 @@ sim::PipelineConfig paper_pipeline_config(int frames) {
 }
 
 std::vector<double> calibrate_pbpair_to_size(
-    const std::vector<SizeTarget>& targets, double plr) {
+    std::vector<sim::SizeTarget> targets, double plr) {
   // Calibrate on a 100-frame prefix: per-frame size is stationary, so the
   // matching threshold transfers to the full run (and the bisection stays
   // affordable: 8 encode passes per clip).
   const int frames = std::min(bench_frames(), 100);
   const double scale =
       static_cast<double>(frames) / static_cast<double>(bench_frames());
-  const sim::PipelineConfig config = paper_pipeline_config(frames);
-
-  struct Bisection {
-    std::uint64_t target = 0;
-    double lo = 0.0, hi = 1.0, best = 0.9;
-    double best_err = -1.0;
-    double mid() const { return 0.5 * (lo + hi); }
-  };
-  std::vector<Bisection> state(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    state[i].target = static_cast<std::uint64_t>(
-        static_cast<double>(targets[i].target_bytes) * scale);
+  for (sim::SizeTarget& target : targets) {
+    target.target_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(target.target_bytes) * scale);
   }
-  for (int iter = 0; iter < 8; ++iter) {
-    std::vector<sim::SweepTask> tasks(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      core::PbpairConfig pbpair;
-      pbpair.intra_th = state[i].mid();
-      pbpair.plr = plr;
-      tasks[i].scheme = sim::SchemeSpec::pbpair(pbpair);
-      tasks[i].config = config;
-      tasks[i].source = clip_source(targets[i].kind, bench_frames());
-    }
-    const std::vector<sim::PipelineResult> results =
-        sim::run_parallel_sweep(tasks);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      Bisection& b = state[i];
-      const double mid = b.mid();
-      const std::uint64_t bytes = results[i].total_bytes;
-      const double err = std::abs(static_cast<double>(bytes) -
-                                  static_cast<double>(b.target));
-      if (b.best_err < 0 || err < b.best_err) {
-        b.best_err = err;
-        b.best = mid;
-      }
-      if (bytes > b.target) {
-        b.hi = mid;
-      } else {
-        b.lo = mid;
-      }
-    }
-  }
-  std::vector<double> best;
-  for (const Bisection& b : state) best.push_back(b.best);
-  return best;
+  core::PbpairConfig pbpair;
+  pbpair.plr = plr;
+  return sim::calibrate_intra_th(targets, pbpair,
+                                 paper_pipeline_config(frames),
+                                 /*iterations=*/8);
 }
 
 void maybe_write_csv(const sim::Table& table, const std::string& name) {

@@ -36,20 +36,14 @@ sim::FrameSource clip_source(video::SequenceKind kind, int frames);
 /// The paper's encoder/pipeline setup.
 sim::PipelineConfig paper_pipeline_config(int frames);
 
-/// One clip's calibration goal: PBPAIR's encoded size over a
-/// bench_frames() run of `kind` should come closest to `target_bytes`.
-struct SizeTarget {
-  video::SequenceKind kind;
-  std::uint64_t target_bytes;
-};
-
-/// Calibrates PBPAIR's Intra_Th per target so its lossless-channel encoded
-/// size is closest to the target on that clip (shorter calibration runs
-/// keep bench time sane; size is monotone in Intra_Th so this transfers).
-/// The bisections advance in lockstep, one run_parallel_sweep per step;
-/// result[i] belongs to targets[i].
+/// Calibrates PBPAIR's Intra_Th per target (sim::calibrate_intra_th, 8
+/// steps) so its lossless-channel encoded size comes closest to the
+/// target. Each target_bytes is a size over a bench_frames() run; the
+/// bisection runs on a 100-frame prefix of each source with the target
+/// scaled to match (size is monotone in Intra_Th, so this transfers and
+/// keeps bench time sane). result[i] belongs to targets[i].
 std::vector<double> calibrate_pbpair_to_size(
-    const std::vector<SizeTarget>& targets, double plr);
+    std::vector<sim::SizeTarget> targets, double plr);
 
 /// Runs the pipeline over a cached clip.
 sim::PipelineResult run_clip(video::SequenceKind kind,

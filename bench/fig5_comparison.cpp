@@ -40,9 +40,10 @@ int main() {
   }
   const std::vector<sim::PipelineResult> pgop_clean =
       sim::run_parallel_sweep(size_tasks);
-  std::vector<bench::SizeTarget> targets;
+  std::vector<sim::SizeTarget> targets;
   for (int s = 0; s < 3; ++s) {
-    targets.push_back({bench::kPaperClips[s], pgop_clean[s].total_bytes});
+    targets.push_back({bench::clip_source(bench::kPaperClips[s], frames),
+                       pgop_clean[s].total_bytes});
   }
   const std::vector<double> intra_ths =
       bench::calibrate_pbpair_to_size(targets, plr);

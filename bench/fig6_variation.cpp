@@ -33,7 +33,8 @@ int main() {
   sim::PipelineResult pgop_clean =
       bench::run_clip(kind, sim::SchemeSpec::pgop(1), nullptr, config);
   const double intra_th = bench::calibrate_pbpair_to_size(
-      {{kind, pgop_clean.total_bytes * bench::bench_frames() / frames}},
+      {{bench::clip_source(kind, bench::bench_frames()),
+        pgop_clean.total_bytes * bench::bench_frames() / frames}},
       0.10)[0];
   core::PbpairConfig pbpair;
   pbpair.intra_th = intra_th;

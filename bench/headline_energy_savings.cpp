@@ -35,7 +35,7 @@ int main() {
     sim::PipelineResult pgop_clean =
         bench::run_clip(kind, sim::SchemeSpec::pgop(3), nullptr, config);
     const double intra_th = bench::calibrate_pbpair_to_size(
-        {{kind, pgop_clean.total_bytes}}, plr)[0];
+        {{bench::clip_source(kind, frames), pgop_clean.total_bytes}}, plr)[0];
     core::PbpairConfig pbpair;
     pbpair.intra_th = intra_th;
     pbpair.plr = plr;

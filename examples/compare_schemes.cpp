@@ -35,8 +35,10 @@ int main(int argc, char** argv) {
   // Size-match PBPAIR to PGOP-3 like the paper (§4.2).
   sim::PipelineResult pgop_clean =
       sim::run_pipeline(sequence, sim::SchemeSpec::pgop(3), nullptr, config);
-  pbpair.intra_th = sim::calibrate_intra_th(sequence, pbpair,
-                                            pgop_clean.total_bytes, config);
+  pbpair.intra_th = sim::calibrate_intra_th(
+      {{[&sequence](int i) { return sequence.frame_at(i); },
+        pgop_clean.total_bytes}},
+      pbpair, config)[0];
 
   std::printf("clip %s, PLR %.0f%%, %d frames, Intra_Th %.3f\n\n",
               video::sequence_kind_name(kind), plr * 100.0, frames,

@@ -15,6 +15,10 @@
 namespace pbpair::codec {
 namespace {
 
+/// SAD_Th in the paper's pseudo code (Fig. 4): intra is chosen when
+/// SAD_mv - SAD_Th > SAD_self. 500 is the classic TMN value.
+constexpr std::int64_t kIntraSadBias = 500;
+
 /// residual = cur 8x8 block at (cx, cy) minus prediction rows (row-major,
 /// stride `pred_stride`, origin at (ox, oy) inside the prediction buffer).
 void subtract_pred(const video::Plane& cur, int cx, int cy,
@@ -306,7 +310,7 @@ EncodedFrame Encoder::encode_frame(const video::YuvFrame& frame) {
           // coding would cost more bits than intra, use intra even for a
           // healthy MB.
           sad_self[i] = sad_self_16x16(frame.y(), mx * 16, my * 16, ops_);
-          if (me_info[i].sad - config_.intra_sad_bias > sad_self[i]) {
+          if (me_info[i].sad - kIntraSadBias > sad_self[i]) {
             encode_mb_intra(frame, mx, my, &coding);
           } else {
             encode_mb_inter(frame, mx, my, me_info[i].mv, &coding);

@@ -32,9 +32,6 @@ struct EncoderConfig {
   int height = video::kQcifHeight;
   int qp = 10;  // quantizer, 1..31
   MotionSearchConfig search{};
-  /// SAD_Th in the paper's pseudo code (Fig. 4): intra is chosen when
-  /// SAD_mv - SAD_Th > SAD_self. 500 is the classic TMN value.
-  std::int64_t intra_sad_bias = 500;
 
   /// In-loop deblocking (codec/deblock.h). MUST match the decoder's
   /// setting, or their reconstruction loops diverge.
@@ -57,7 +54,6 @@ class Encoder {
   const energy::OpCounters& ops() const { return ops_; }
 
   const EncoderConfig& config() const { return config_; }
-  int frames_encoded() const { return frame_index_; }
 
   /// Changes the quantizer for subsequent frames (rate-control hook).
   void set_qp(int qp) {

@@ -38,9 +38,6 @@ struct ReceiverReport {
   double fraction_lost_as_double() const {
     return static_cast<double>(fraction_lost) / 256.0;
   }
-  double fraction_corrupted_as_double() const {
-    return static_cast<double>(fraction_corrupted) / 256.0;
-  }
 };
 
 /// Serializes to the RFC 3550 RR layout (8-byte header + 1 report block;

@@ -5,9 +5,27 @@
 
 #include "common/check.h"
 #include "common/json.h"
-#include "obs/metrics.h"
 
 namespace pbpair::obs {
+namespace {
+
+// EWMA smoothing factor for the PSNR trend estimate.
+constexpr double kEwmaAlpha = 0.1;
+
+// Enter/exit threshold pairs implement the hysteresis: a session escalates
+// the moment a windowed estimate crosses `enter`, but only de-escalates
+// once the estimate is back past the stricter `exit`, so a stream hovering
+// at a boundary cannot flap between states every frame.
+constexpr double kPlrDegradedEnter = 0.10;
+constexpr double kPlrDegradedExit = 0.07;
+constexpr double kPlrCriticalEnter = 0.25;
+constexpr double kPlrCriticalExit = 0.18;
+constexpr double kPsnrDegradedEnterDb = 30.0;
+constexpr double kPsnrDegradedExitDb = 31.5;
+constexpr double kPsnrCriticalEnterDb = 24.0;
+constexpr double kPsnrCriticalExitDb = 26.0;
+
+}  // namespace
 
 const char* health_state_name(HealthState state) {
   switch (state) {
@@ -21,12 +39,11 @@ const char* health_state_name(HealthState state) {
 SessionHealth::SessionHealth(std::string label, HealthConfig config)
     : label_(std::move(label)), config_(std::move(config)) {
   PB_CHECK(config_.window_frames > 0);
-  PB_CHECK(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
   PB_CHECK(config_.frame_rate_hz > 0.0);
   window_.reserve(static_cast<std::size_t>(config_.window_frames));
 }
 
-void SessionHealth::on_frame(const FrameHealthSample& sample) {
+HealthSnapshot SessionHealth::on_frame(const FrameHealthSample& sample) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t w = static_cast<std::size_t>(config_.window_frames);
   if (window_.size() < w) {
@@ -52,13 +69,13 @@ void SessionHealth::on_frame(const FrameHealthSample& sample) {
   energy_sum_j_ += sample.energy_j;
 
   psnr_ewma_db_ = frames_ == 0 ? sample.psnr_db
-                               : config_.ewma_alpha * sample.psnr_db +
-                                     (1.0 - config_.ewma_alpha) * psnr_ewma_db_;
+                               : kEwmaAlpha * sample.psnr_db +
+                                     (1.0 - kEwmaAlpha) * psnr_ewma_db_;
   energy_total_j_ += sample.energy_j;
   ++frames_;
 
   update_state_locked();
-  publish_metrics_locked();
+  return snapshot_locked();
 }
 
 HealthSnapshot SessionHealth::snapshot() const {
@@ -98,15 +115,14 @@ HealthSnapshot SessionHealth::snapshot_locked() const {
 void SessionHealth::update_state_locked() {
   if (frames_ < static_cast<std::uint64_t>(config_.warmup_frames)) return;
   const HealthSnapshot snap = snapshot_locked();
-  const HealthThresholds& t = config_.thresholds;
 
   // Escalation looks at the enter thresholds.
   HealthState desired = HealthState::kHealthy;
-  if (snap.eff_plr >= t.plr_critical_enter ||
-      snap.psnr_window_db <= t.psnr_critical_enter_db) {
+  if (snap.eff_plr >= kPlrCriticalEnter ||
+      snap.psnr_window_db <= kPsnrCriticalEnterDb) {
     desired = HealthState::kCritical;
-  } else if (snap.eff_plr >= t.plr_degraded_enter ||
-             snap.psnr_window_db <= t.psnr_degraded_enter_db) {
+  } else if (snap.eff_plr >= kPlrDegradedEnter ||
+             snap.psnr_window_db <= kPsnrDegradedEnterDb) {
     desired = HealthState::kDegraded;
   }
 
@@ -117,44 +133,18 @@ void SessionHealth::update_state_locked() {
     // De-escalate one step at a time, and only once the estimates are
     // clear of the current state's exit thresholds.
     if (state_ == HealthState::kCritical &&
-        snap.eff_plr < t.plr_critical_exit &&
-        snap.psnr_window_db > t.psnr_critical_exit_db) {
+        snap.eff_plr < kPlrCriticalExit &&
+        snap.psnr_window_db > kPsnrCriticalExitDb) {
       next = std::max(desired, HealthState::kDegraded);
     } else if (state_ == HealthState::kDegraded &&
-               snap.eff_plr < t.plr_degraded_exit &&
-               snap.psnr_window_db > t.psnr_degraded_exit_db) {
+               snap.eff_plr < kPlrDegradedExit &&
+               snap.psnr_window_db > kPsnrDegradedExitDb) {
       next = HealthState::kHealthy;
     }
   }
   if (next == state_) return;
-
-  const HealthState from = state_;
   state_ = next;
   ++transitions_;
-  if (enabled()) {
-    counter(session_metric(label_, "health_transitions")).add(1);
-    counter("health.transitions").add(1);
-  }
-  if (config_.on_transition) {
-    HealthSnapshot at_transition = snapshot_locked();
-    config_.on_transition(label_, from, next, at_transition);
-  }
-}
-
-void SessionHealth::publish_metrics_locked() const {
-  if (!enabled()) return;
-  const HealthSnapshot snap = snapshot_locked();
-  gauge(session_metric(label_, "health_state"))
-      .set(static_cast<double>(snap.state));
-  gauge(session_metric(label_, "psnr_db")).set(snap.psnr_window_db);
-  gauge(session_metric(label_, "psnr_ewma_db")).set(snap.psnr_ewma_db);
-  gauge(session_metric(label_, "eff_plr")).set(snap.eff_plr);
-  gauge(session_metric(label_, "intra_ratio")).set(snap.intra_ratio);
-  gauge(session_metric(label_, "j_per_frame")).set(snap.energy_j_per_frame);
-  gauge(session_metric(label_, "battery_remaining_j"))
-      .set(snap.battery_remaining_j);
-  gauge(session_metric(label_, "projected_lifetime_s"))
-      .set(snap.projected_lifetime_s);
 }
 
 HealthRegistry& HealthRegistry::global() {

@@ -13,13 +13,12 @@
 // per-frame results (PSNR, byte counts, packet counts, analytic joules),
 // so enabling tracking cannot change a single output byte
 // (tests/test_telemetry.cpp asserts bitstream/report/joules identity on vs
-// off). The one deliberate exception is HealthConfig::on_transition: an
-// OFF-BY-DEFAULT hook that adaptation policies may use to nudge Intra_Th —
-// anything it mutates is the caller's policy, outside this module.
+// off). SessionHealth writes no metric and calls nothing back: on_frame()
+// returns the snapshot, and the session publishes the gauges and reacts
+// to state changes itself (sim/session.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,28 +31,9 @@ enum class HealthState { kHealthy = 0, kDegraded = 1, kCritical = 2 };
 /// "healthy" / "degraded" / "critical".
 const char* health_state_name(HealthState state);
 
-/// Enter/exit threshold pairs implement the hysteresis: a session
-/// escalates the moment a windowed estimate crosses `enter`, but only
-/// de-escalates once the estimate is back past the stricter `exit`, so a
-/// stream hovering at a boundary cannot flap between states every frame.
-struct HealthThresholds {
-  double plr_degraded_enter = 0.10;
-  double plr_degraded_exit = 0.07;
-  double plr_critical_enter = 0.25;
-  double plr_critical_exit = 0.18;
-  double psnr_degraded_enter_db = 30.0;
-  double psnr_degraded_exit_db = 31.5;
-  double psnr_critical_enter_db = 24.0;
-  double psnr_critical_exit_db = 26.0;
-};
-
-struct HealthSnapshot;
-
 struct HealthConfig {
   /// Sliding-window length W in frames for the windowed means.
   int window_frames = 30;
-  /// EWMA smoothing factor for the PSNR trend estimate.
-  double ewma_alpha = 0.1;
   /// Frames observed before the state machine may leave HEALTHY (a cold
   /// window full of startup intra frames should not trip thresholds).
   int warmup_frames = 10;
@@ -63,14 +43,6 @@ struct HealthConfig {
   /// projected-lifetime estimate. The default is on the order of a PDA
   /// battery's usable capacity.
   double battery_capacity_j = 12000.0;
-  HealthThresholds thresholds;
-  /// Optional transition hook (label, from, to, snapshot at transition).
-  /// OFF by default; with it unset, health tracking is guaranteed
-  /// perturbation-free. Runs under the session's health lock: consume the
-  /// provided snapshot, never call back into the SessionHealth.
-  std::function<void(const std::string& label, HealthState from,
-                     HealthState to, const HealthSnapshot& snapshot)>
-      on_transition;
 };
 
 /// One frame's worth of telemetry input, as observed by the session.
@@ -107,7 +79,9 @@ class SessionHealth {
  public:
   SessionHealth(std::string label, HealthConfig config);
 
-  void on_frame(const FrameHealthSample& sample);
+  /// Folds one frame into the estimators and the state machine; returns
+  /// the snapshot after it.
+  HealthSnapshot on_frame(const FrameHealthSample& sample);
   HealthSnapshot snapshot() const;
   const std::string& label() const { return label_; }
 
@@ -115,7 +89,6 @@ class SessionHealth {
   // Callers hold mutex_.
   HealthSnapshot snapshot_locked() const;
   void update_state_locked();
-  void publish_metrics_locked() const;
 
   const std::string label_;
   const HealthConfig config_;
@@ -148,11 +121,6 @@ struct HealthStateCounts {
   int critical = 0;
 
   int total() const { return healthy + degraded + critical; }
-  /// Fraction of sessions at or past DEGRADED; 0 when no sessions exist.
-  double pressure() const {
-    const int n = total();
-    return n > 0 ? static_cast<double>(degraded + critical) / n : 0.0;
-  }
 };
 
 /// Process-wide directory of live sessions, keyed by obs label — what

@@ -22,6 +22,9 @@ namespace pbpair::obs {
 namespace {
 
 constexpr std::size_t kRequestCap = 4096;
+// Open client connections beyond this are accepted and immediately closed
+// (cheap shed; the scraper retries).
+constexpr std::size_t kMaxConnections = 64;
 
 const char* status_text(int status) {
   switch (status) {
@@ -182,8 +185,7 @@ void HttpExporter::serve_loop() {
         for (;;) {
           const int client = ::accept(listen_fd_, nullptr, nullptr);
           if (client < 0) break;  // EAGAIN or transient error: done
-          if (static_cast<int>(conns.size()) >= options_.max_connections ||
-              !set_nonblocking(client)) {
+          if (conns.size() >= kMaxConnections || !set_nonblocking(client)) {
             ::close(client);
             continue;
           }

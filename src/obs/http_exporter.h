@@ -35,9 +35,6 @@ struct HttpResponse {
 using HttpHandler = std::function<HttpResponse(const std::string& path)>;
 
 struct HttpExporterOptions {
-  /// Open client connections beyond this are accepted and immediately
-  /// closed (cheap shed; the scraper retries).
-  int max_connections = 64;
   /// A connection that has not completed its request/response within
   /// this budget is closed and counted in obs.http.timeouts.
   int slow_client_timeout_ms = 2000;

@@ -104,10 +104,6 @@ void set_trace_capacity(std::size_t max_spans) {
   g_max_spans.store(max_spans, std::memory_order_relaxed);
 }
 
-std::size_t trace_capacity() {
-  return g_max_spans.load(std::memory_order_relaxed);
-}
-
 void clear_trace() {
   std::lock_guard<std::mutex> lock(g_mutex);
   spans().clear();

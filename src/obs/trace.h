@@ -58,7 +58,6 @@ std::size_t trace_span_count();
 /// counted). Tests use a tiny cap to exercise the overflow path without
 /// recording a million spans.
 void set_trace_capacity(std::size_t max_spans);
-std::size_t trace_capacity();
 
 /// Drops all buffered spans (thread ids/names are kept).
 void clear_trace();

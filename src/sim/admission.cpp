@@ -42,15 +42,6 @@ obs::FlightRecorder* admission_ring() {
 
 }  // namespace
 
-const char* admit_decision_name(AdmitDecision decision) {
-  switch (decision) {
-    case AdmitDecision::kAccepted: return "accepted";
-    case AdmitDecision::kQueued: return "queued";
-    case AdmitDecision::kShed: return "shed";
-  }
-  return "unknown";
-}
-
 std::size_t rendezvous_shard(const std::string& label, std::size_t shards) {
   PB_CHECK(shards > 0);
   if (shards == 1) return 0;
@@ -82,10 +73,11 @@ AdmitDecision SessionAdmission::admit(std::size_t slot,
 
   // Health-driven shedding considers only DEGRADED-eligible sessions; a
   // non-sheddable session rides the queue path no matter how sick the
-  // fleet is.
+  // fleet is. The fleet is pressed while any session is CRITICAL (shed
+  // DEGRADED-eligible work before a critical shard takes more) or every
+  // session is at least DEGRADED.
   const bool fleet_pressed =
-      (config_.shed_on_critical && fleet_.critical > 0) ||
-      fleet_.pressure() >= config_.shed_pressure;
+      fleet_.critical > 0 || (fleet_.total() > 0 && fleet_.healthy == 0);
   if (sheddable && fleet_pressed) {
     decision = AdmitDecision::kShed;
   } else if (config_.shed_queue_depth > 0 &&

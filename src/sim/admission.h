@@ -41,19 +41,9 @@ struct AdmissionConfig {
   /// already holding this many is shed when sheddable, queued otherwise.
   /// 0 disables depth-based shedding.
   std::size_t shed_queue_depth = 0;
-  /// Shed sheddable sessions while the fleet aggregate shows any CRITICAL
-  /// session — shed DEGRADED-eligible work before a critical shard takes
-  /// more.
-  bool shed_on_critical = true;
-  /// Shed sheddable sessions once the fleet's DEGRADED+CRITICAL fraction
-  /// reaches this threshold. 1.0 (with no critical sessions) disables.
-  double shed_pressure = 1.0;
 };
 
 enum class AdmitDecision { kAccepted = 0, kQueued = 1, kShed = 2 };
-
-/// "accepted" / "queued" / "shed".
-const char* admit_decision_name(AdmitDecision decision);
 
 /// Per-run admission outcome; decisions[i] belongs to spec i.
 struct AdmissionReport {

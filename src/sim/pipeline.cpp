@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "common/check.h"
-#include "net/loss_model.h"
+#include "sim/parallel_sweep.h"
 #include "sim/session.h"
 
 namespace pbpair::sim {
@@ -24,58 +23,50 @@ PipelineResult run_pipeline(const video::SyntheticSequence& sequence,
       config);
 }
 
-core::PointEvaluator make_pipeline_evaluator(
-    const video::SyntheticSequence& sequence, const PipelineConfig& config,
-    std::uint64_t seed) {
-  // `sequence` is captured by value: the returned evaluator is often
-  // stored and invoked long after the caller's sequence is gone, and a
-  // reference capture would dangle (sequences are small — four scalars).
-  return [sequence, config, seed](core::OperatingPoint& point) {
-    core::PbpairConfig pbpair;
-    pbpair.intra_th = point.intra_th;
-    pbpair.plr = point.plr;
-    net::UniformFrameLoss loss(point.plr, seed);
-    PipelineResult r = run_pipeline(sequence, SchemeSpec::pbpair(pbpair),
-                                    &loss, config);
-    point.avg_psnr_db = r.avg_psnr_db;
-    point.bad_pixels_m = static_cast<double>(r.total_bad_pixels) / 1e6;
-    point.size_kb = static_cast<double>(r.total_bytes) / 1024.0;
-    point.encode_energy_j = r.encode_energy.total_j();
-    point.total_energy_j = r.total_energy_j();
-    point.intra_mbs_per_frame =
-        static_cast<double>(r.total_intra_mbs) / config.frames;
-  };
-}
-
-double calibrate_intra_th(const video::SyntheticSequence& sequence,
-                          const core::PbpairConfig& base_config,
-                          std::uint64_t target_bytes,
-                          const PipelineConfig& config, double lo, double hi,
-                          int iterations) {
-  PB_CHECK(lo <= hi);
+std::vector<double> calibrate_intra_th(const std::vector<SizeTarget>& targets,
+                                       const core::PbpairConfig& base,
+                                       const PipelineConfig& config,
+                                       int iterations) {
   // Encoded size grows monotonically with Intra_Th (more intra MBs), so a
   // bisection on the lossless-channel size converges.
-  double best_th = lo;
-  double best_err = -1.0;
+  struct Bisection {
+    double lo = 0.0, hi = 1.0, best = 0.0;
+    double best_err = -1.0;
+    double mid() const { return 0.5 * (lo + hi); }
+  };
+  std::vector<Bisection> state(targets.size());
   for (int iter = 0; iter < iterations; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    core::PbpairConfig candidate = base_config;
-    candidate.intra_th = mid;
-    PipelineResult r = run_pipeline(sequence, SchemeSpec::pbpair(candidate),
-                                    nullptr, config);
-    double err = std::abs(static_cast<double>(r.total_bytes) -
-                          static_cast<double>(target_bytes));
-    if (best_err < 0 || err < best_err) {
-      best_err = err;
-      best_th = mid;
+    std::vector<SweepTask> tasks(targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      core::PbpairConfig candidate = base;
+      candidate.intra_th = state[i].mid();
+      tasks[i].scheme = SchemeSpec::pbpair(candidate);
+      tasks[i].config = config;
+      tasks[i].source = targets[i].source;
     }
-    if (r.total_bytes > target_bytes) {
-      hi = mid;
-    } else {
-      lo = mid;
+    const std::vector<PipelineResult> results = run_parallel_sweep(tasks);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      Bisection& b = state[i];
+      const double mid = b.mid();
+      const std::uint64_t bytes = results[i].total_bytes;
+      const std::uint64_t target = targets[i].target_bytes;
+      const double err = std::abs(static_cast<double>(bytes) -
+                                  static_cast<double>(target));
+      if (b.best_err < 0 || err < b.best_err) {
+        b.best_err = err;
+        b.best = mid;
+      }
+      if (bytes > target) {
+        b.hi = mid;
+      } else {
+        b.lo = mid;
+      }
     }
   }
-  return best_th;
+  std::vector<double> best;
+  best.reserve(state.size());
+  for (const Bisection& b : state) best.push_back(b.best);
+  return best;
 }
 
 }  // namespace pbpair::sim

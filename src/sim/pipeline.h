@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "codec/decoder.h"
-#include "core/operating_points.h"
 #include "codec/encoder.h"
 #include "codec/rate_control.h"
 #include "energy/energy_model.h"
@@ -184,24 +183,23 @@ PipelineResult run_pipeline(const video::SyntheticSequence& sequence,
                             const SchemeSpec& scheme, net::LossModel* loss,
                             const PipelineConfig& config);
 
-/// Builds a core::PointEvaluator that measures each (Intra_Th, PLR)
-/// operating point by running the full pipeline on `sequence` with the
-/// paper's uniform frame-discard channel at the point's own PLR
-/// (seeded deterministically from `seed`). The evaluator captures a copy
-/// of `sequence`, so it stays valid after the caller's sequence is gone.
-core::PointEvaluator make_pipeline_evaluator(
-    const video::SyntheticSequence& sequence, const PipelineConfig& config,
-    std::uint64_t seed = 2005);
+/// One calibration goal: PBPAIR's encoded size over `source` should come
+/// closest to `target_bytes`.
+struct SizeTarget {
+  FrameSource source;
+  std::uint64_t target_bytes = 0;
+};
 
-/// Picks the Intra_Th giving an encoded size closest to `target_bytes`
-/// under a lossless channel (the paper matches PBPAIR's compression ratio
+/// Picks, per target, the Intra_Th giving a lossless-channel encoded size
+/// closest to target_bytes (the paper matches PBPAIR's compression ratio
 /// to the baselines before comparing quality/energy: §4.2 "We choose
 /// Intra_Th that gives similar compression ratio with PGOP-3, GOP-3 and
-/// AIR-24"). Binary search over Intra_Th in [lo, hi].
-double calibrate_intra_th(const video::SyntheticSequence& sequence,
-                          const core::PbpairConfig& base_config,
-                          std::uint64_t target_bytes,
-                          const PipelineConfig& config, double lo = 0.0,
-                          double hi = 1.0, int iterations = 9);
+/// AIR-24"). Bisects Intra_Th over [0, 1]; the bisections advance in
+/// lockstep, one run_parallel_sweep per step. result[i] belongs to
+/// targets[i]; an empty list returns an empty vector.
+std::vector<double> calibrate_intra_th(const std::vector<SizeTarget>& targets,
+                                       const core::PbpairConfig& base,
+                                       const PipelineConfig& config,
+                                       int iterations = 9);
 
 }  // namespace pbpair::sim

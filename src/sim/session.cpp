@@ -1,6 +1,7 @@
 #include "sim/session.h"
 
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -38,6 +39,35 @@ void append_frame_trace_jsonl(std::ofstream& out, const FrameTrace& trace,
   }
   out << "}\n";
 }
+
+// The per-session obs series, "session.<label>.<name>", in the order of
+// StreamSession's handle arrays. Labeled sessions add to the counters
+// every frame while obs is on; crc_corrupted, last, exists (even at zero)
+// only while CRC framing is on, so the monitor shows a corrupted column
+// for CRC sessions and a CRC-off run registers no such name. Health-on
+// sessions set the gauges from the health snapshot, under the health
+// label.
+constexpr const char* kSessionCounterNames[] = {
+    "frames",
+    "bytes",
+    "lost_frames",
+    "packets_sent",
+    "packets_delivered",
+    "intra_mbs",
+    "mbs",
+    "energy_uj",
+    "crc_corrupted",
+};
+constexpr const char* kHealthGaugeNames[] = {
+    "health_state",
+    "psnr_db",
+    "psnr_ewma_db",
+    "eff_plr",
+    "intra_ratio",
+    "j_per_frame",
+    "battery_remaining_j",
+    "projected_lifetime_s",
+};
 
 }  // namespace
 
@@ -91,42 +121,8 @@ void StreamSession::init() {
     flight_ = obs::FlightRegistry::global().create(label_);
   }
   if (config_.health.has_value()) {
-    obs::HealthConfig health_config = *config_.health;
-    if (flight_ != nullptr) {
-      // Wrap (don't replace) any user transition hook: record the
-      // transition in the flight ring and, when the session goes
-      // CRITICAL with a dump dir configured, write the post-mortem
-      // JSONL right at the moment of failure. Captures the registry-
-      // owned recorder pointer, never `this` — sessions stay movable.
-      obs::FlightRecorder* flight = flight_;
-      auto user_hook = health_config.on_transition;
-      health_config.on_transition =
-          [flight, user_hook](const std::string& label, obs::HealthState from,
-                              obs::HealthState to,
-                              const obs::HealthSnapshot& snap) {
-            flight->record(obs::FlightEvent::kHealthTransition,
-                           static_cast<std::int32_t>(snap.frames),
-                           static_cast<std::int64_t>(from),
-                           static_cast<std::int64_t>(to));
-            if (to == obs::HealthState::kCritical) {
-              const std::string dir = obs::FlightRegistry::global().dump_dir();
-              if (!dir.empty()) {
-                const std::string path = dir + "/flight_" + label + ".jsonl";
-                if (flight->dump_to_path(path)) {
-                  PB_LOG_WARN("session %s went CRITICAL; flight dump at %s",
-                              label.c_str(), path.c_str());
-                } else {
-                  PB_LOG_WARN("session %s went CRITICAL; flight dump to %s "
-                              "failed",
-                              label.c_str(), path.c_str());
-                }
-              }
-            }
-            if (user_hook) user_hook(label, from, to, snap);
-          };
-    }
     health_ = obs::HealthRegistry::global().create(
-        label_.empty() ? "default" : label_, health_config);
+        label_.empty() ? "default" : label_, *config_.health);
   }
 
   policy_ = make_policy(scheme_, mb_cols, mb_rows);
@@ -494,44 +490,34 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
   if (want_counters) {
     // Resolve the handles once per session (name build + map lookup),
     // then every frame is a handful of lock-free shard bumps.
-    if (c_frames_ == nullptr) {
-      c_frames_ = &obs::counter(obs::session_metric(label_, "frames"));
-      c_bytes_ = &obs::counter(obs::session_metric(label_, "bytes"));
-      c_lost_frames_ =
-          &obs::counter(obs::session_metric(label_, "lost_frames"));
-      c_packets_sent_ =
-          &obs::counter(obs::session_metric(label_, "packets_sent"));
-      c_packets_delivered_ =
-          &obs::counter(obs::session_metric(label_, "packets_delivered"));
-      c_intra_mbs_ = &obs::counter(obs::session_metric(label_, "intra_mbs"));
-      c_mbs_ = &obs::counter(obs::session_metric(label_, "mbs"));
-      // Present (even at zero) whenever CRC framing is on, so the monitor
-      // can show a corrupted column per session; absent when off to keep
-      // the metric namespace byte-identical to a pre-CRC build.
-      if (crc_on_) {
-        c_crc_corrupted_ =
-            &obs::counter(obs::session_metric(label_, "crc_corrupted"));
+    static_assert(std::size(kSessionCounterNames) == kSessionCounters);
+    if (session_counters_[0] == nullptr) {
+      const std::size_t n = crc_on_ ? kSessionCounters : kSessionCounters - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        session_counters_[i] = &obs::counter(
+            obs::session_metric(label_, kSessionCounterNames[i]));
       }
-      c_energy_uj_ = &obs::counter(obs::session_metric(label_, "energy_uj"));
-    }
-    c_frames_->add(1);
-    c_bytes_->add(trace.bytes);
-    if (trace.lost) c_lost_frames_->add(1);
-    c_packets_sent_->add(static_cast<std::uint64_t>(trace.packets_sent));
-    c_packets_delivered_->add(
-        static_cast<std::uint64_t>(trace.packets_delivered));
-    c_intra_mbs_->add(static_cast<std::uint64_t>(trace.intra_mbs));
-    c_mbs_->add(static_cast<std::uint64_t>(mbs_per_frame_));
-    if (c_crc_corrupted_ != nullptr) {
-      c_crc_corrupted_->add(static_cast<std::uint64_t>(trace.crc_corrupted));
     }
     // Energy as an integer microjoule counter (counters are uint64):
     // emit the delta of the rounded cumulative total so the counter
     // tracks it without accumulating rounding drift.
     const std::uint64_t total_uj =
         static_cast<std::uint64_t>(energy_total_j * 1e6);
-    c_energy_uj_->add(total_uj - energy_reported_uj_);
+    const std::uint64_t counts[kSessionCounters] = {
+        1,
+        trace.bytes,
+        trace.lost ? 1u : 0u,
+        static_cast<std::uint64_t>(trace.packets_sent),
+        static_cast<std::uint64_t>(trace.packets_delivered),
+        static_cast<std::uint64_t>(trace.intra_mbs),
+        static_cast<std::uint64_t>(mbs_per_frame_),
+        total_uj - energy_reported_uj_,
+        static_cast<std::uint64_t>(trace.crc_corrupted),
+    };
     energy_reported_uj_ = total_uj;
+    for (std::size_t i = 0; i < kSessionCounters; ++i) {
+      if (session_counters_[i] != nullptr) session_counters_[i]->add(counts[i]);
+    }
   }
 
   if (health_ != nullptr) {
@@ -544,7 +530,62 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
     sample.intra_mbs = static_cast<std::uint32_t>(trace.intra_mbs);
     sample.total_mbs = static_cast<std::uint32_t>(mbs_per_frame_);
     sample.energy_j = frame_energy_j;
-    health_->on_frame(sample);
+    observe_health(sample);
+  }
+}
+
+// Feeds one frame to health_ and reacts to what it returns: a state change
+// is counted, recorded in the flight ring and, on CRITICAL with a dump dir
+// set, dumps the ring right at the moment of failure; the gauges mirror
+// the snapshot while obs is on. SessionHealth's lock is not held here.
+void StreamSession::observe_health(const obs::FrameHealthSample& sample) {
+  const obs::HealthSnapshot snap = health_->on_frame(sample);
+  const std::string& label = health_->label();
+  if (snap.state != health_state_) {
+    const obs::HealthState from = health_state_;
+    health_state_ = snap.state;
+    if (obs::enabled()) {
+      obs::counter(obs::session_metric(label, "health_transitions")).add(1);
+      obs::counter("health.transitions").add(1);
+    }
+    if (flight_ != nullptr) {
+      flight_->record(obs::FlightEvent::kHealthTransition,
+                      static_cast<std::int32_t>(snap.frames),
+                      static_cast<std::int64_t>(from),
+                      static_cast<std::int64_t>(snap.state));
+      const std::string dir = obs::FlightRegistry::global().dump_dir();
+      if (snap.state == obs::HealthState::kCritical && !dir.empty()) {
+        const std::string path = dir + "/flight_" + label + ".jsonl";
+        if (flight_->dump_to_path(path)) {
+          PB_LOG_WARN("session %s went CRITICAL; flight dump at %s",
+                      label.c_str(), path.c_str());
+        } else {
+          PB_LOG_WARN("session %s went CRITICAL; flight dump to %s failed",
+                      label.c_str(), path.c_str());
+        }
+      }
+    }
+  }
+  if (!obs::enabled()) return;
+  static_assert(std::size(kHealthGaugeNames) == kHealthGauges);
+  if (health_gauges_[0] == nullptr) {
+    for (std::size_t i = 0; i < kHealthGauges; ++i) {
+      health_gauges_[i] =
+          &obs::gauge(obs::session_metric(label, kHealthGaugeNames[i]));
+    }
+  }
+  const double values[kHealthGauges] = {
+      static_cast<double>(snap.state),
+      snap.psnr_window_db,
+      snap.psnr_ewma_db,
+      snap.eff_plr,
+      snap.intra_ratio,
+      snap.energy_j_per_frame,
+      snap.battery_remaining_j,
+      snap.projected_lifetime_s,
+  };
+  for (std::size_t i = 0; i < kHealthGauges; ++i) {
+    health_gauges_[i]->set(values[i]);
   }
 }
 

@@ -39,6 +39,7 @@
 namespace pbpair::obs {
 class Counter;
 class FlightRecorder;
+class Gauge;
 }
 
 namespace pbpair::sim {
@@ -128,6 +129,7 @@ class StreamSession {
   void measure();
   void accumulate(const FrameTrace& trace);
   void update_telemetry(const FrameTrace& trace);
+  void observe_health(const obs::FrameHealthSample& sample);
 
   // One global obs counter as the session publishes it: its name, how the
   // name enters the registry (alone, on its first nonzero add, or with its
@@ -188,7 +190,10 @@ class StreamSession {
   // Live telemetry (config_.health / per-session obs counters). The
   // energy trackers attribute each frame's analytic joules incrementally
   // — pure reads of encoder ops and channel stats, never a perturbation.
+  // health_state_ is the state the last frame left health_ in; the
+  // session reacts when a frame changes it.
   std::shared_ptr<obs::SessionHealth> health_;
+  obs::HealthState health_state_ = obs::HealthState::kHealthy;
   double energy_reported_j_ = 0.0;
   std::uint64_t energy_reported_uj_ = 0;
   int mbs_per_frame_ = 0;
@@ -200,18 +205,14 @@ class StreamSession {
   // outlives the session for post-mortem reads.
   obs::FlightRecorder* flight_ = nullptr;
 
-  // Cached handles for the per-frame "session.<label>.*" counters: one
-  // name build + map lookup per session instead of per frame; the add()s
-  // land on the stepping thread's shard. (Registry-owned, move-safe.)
-  obs::Counter* c_frames_ = nullptr;
-  obs::Counter* c_bytes_ = nullptr;
-  obs::Counter* c_lost_frames_ = nullptr;
-  obs::Counter* c_packets_sent_ = nullptr;
-  obs::Counter* c_packets_delivered_ = nullptr;
-  obs::Counter* c_intra_mbs_ = nullptr;
-  obs::Counter* c_mbs_ = nullptr;
-  obs::Counter* c_crc_corrupted_ = nullptr;
-  obs::Counter* c_energy_uj_ = nullptr;
+  // Cached handles for the per-frame "session.<label>.*" series, in the
+  // order of session.cpp's name tables: one name build + map lookup per
+  // session instead of per frame; counter add()s land on the stepping
+  // thread's shard. (Registry-owned, move-safe.)
+  static constexpr std::size_t kSessionCounters = 9;
+  static constexpr std::size_t kHealthGauges = 8;
+  std::array<obs::Counter*, kSessionCounters> session_counters_{};
+  std::array<obs::Gauge*, kHealthGauges> health_gauges_{};
 
   // The global counters publish_counters() adds to, in counter_totals()
   // order, each resolved when its name enters the registry.

@@ -101,8 +101,6 @@ class SessionManager {
  public:
   explicit SessionManager(std::vector<SessionSpec> specs);
 
-  std::size_t session_count() const { return specs_.size(); }
-
   /// Label an unlabeled spec at `index` gets in a fleet of `count`:
   /// "s<index>" zero-padded to max(3, digits(count-1)) digits, so
   /// lexicographic label order equals numeric session order at any fleet

@@ -1,11 +1,10 @@
-// Tests for the extension features: SSIM, deblocking, operating-point
-// exploration, and packet-level loss with fragmentation.
+// Tests for the extension features: SSIM, deblocking, and packet-level
+// loss with fragmentation.
 #include <gtest/gtest.h>
 
 #include "codec/deblock.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
-#include "core/operating_points.h"
 #include "net/loss_model.h"
 #include "sim/pipeline.h"
 #include "video/metrics.h"
@@ -150,63 +149,6 @@ TEST(Deblock, ImprovesSsimAtCoarseQp) {
     return total / 4;
   };
   EXPECT_GT(avg_ssim(true), avg_ssim(false) - 0.005);
-}
-
-// --- Operating points ---
-
-TEST(OperatingPoints, ExploresFullGrid) {
-  int calls = 0;
-  auto points = core::explore_operating_points(
-      {0.5, 0.9}, {0.05, 0.10, 0.20}, [&calls](core::OperatingPoint& p) {
-        ++calls;
-        p.avg_psnr_db = p.intra_th * 10 + p.plr;
-      });
-  EXPECT_EQ(points.size(), 6u);
-  EXPECT_EQ(calls, 6);
-  EXPECT_DOUBLE_EQ(points.front().plr, 0.05);
-  EXPECT_DOUBLE_EQ(points.front().intra_th, 0.5);
-  EXPECT_DOUBLE_EQ(points.back().plr, 0.20);
-  EXPECT_DOUBLE_EQ(points.back().intra_th, 0.9);
-}
-
-TEST(OperatingPoints, ParetoMarksOnlyUndominated) {
-  std::vector<core::OperatingPoint> points(4);
-  // (quality, cost): A(10, 1) B(12, 2) C(9, 3) D(12, 2).
-  points[0].avg_psnr_db = 10; points[0].encode_energy_j = 1;
-  points[1].avg_psnr_db = 12; points[1].encode_energy_j = 2;
-  points[2].avg_psnr_db = 9;  points[2].encode_energy_j = 3;  // dominated
-  points[3].avg_psnr_db = 12; points[3].encode_energy_j = 2;  // tie with B
-  int n = core::mark_pareto_frontier(
-      points, [](const core::OperatingPoint& p) { return p.avg_psnr_db; },
-      [](const core::OperatingPoint& p) { return p.encode_energy_j; });
-  EXPECT_EQ(n, 3);
-  EXPECT_TRUE(points[0].pareto_efficient);
-  EXPECT_TRUE(points[1].pareto_efficient);
-  EXPECT_FALSE(points[2].pareto_efficient);
-  EXPECT_TRUE(points[3].pareto_efficient);  // ties do not dominate each other
-}
-
-TEST(OperatingPoints, PipelineEvaluatorProducesTradeoffCurve) {
-  video::SyntheticSequence seq =
-      video::make_paper_sequence(video::SequenceKind::kForemanLike);
-  sim::PipelineConfig config;
-  config.frames = 20;
-  auto points = core::explore_operating_points(
-      {0.0, 0.9, 0.99}, {0.10},
-      sim::make_pipeline_evaluator(seq, config));
-  ASSERT_EQ(points.size(), 3u);
-  // Higher threshold: more intra, bigger files, less encode energy.
-  EXPECT_LE(points[0].intra_mbs_per_frame, points[1].intra_mbs_per_frame);
-  EXPECT_LT(points[1].intra_mbs_per_frame, points[2].intra_mbs_per_frame);
-  EXPECT_LT(points[0].size_kb, points[2].size_kb);
-  EXPECT_GT(points[0].encode_energy_j, points[2].encode_energy_j);
-  // On the (quality=PSNR, cost=encode energy) plane the sweep is its own
-  // frontier: higher threshold is better on both axes under loss.
-  int n = core::mark_pareto_frontier(
-      points, [](const core::OperatingPoint& p) { return p.avg_psnr_db; },
-      [](const core::OperatingPoint& p) { return p.encode_energy_j; });
-  EXPECT_GE(n, 1);
-  EXPECT_TRUE(points[2].pareto_efficient);
 }
 
 // --- Fragmentation under packet loss ---

@@ -30,8 +30,9 @@ Fig5Setup run_fig5(video::SequenceKind kind, int frames) {
       sim::run_pipeline(seq, sim::SchemeSpec::pgop(3), nullptr, config);
   core::PbpairConfig pc;
   pc.plr = 0.10;
-  pc.intra_th = sim::calibrate_intra_th(seq, pc, pgop_clean.total_bytes,
-                                        config);
+  pc.intra_th = sim::calibrate_intra_th(
+      {{[&seq](int i) { return seq.frame_at(i); }, pgop_clean.total_bytes}},
+      pc, config)[0];
 
   auto run = [&](const sim::SchemeSpec& scheme) {
     net::UniformFrameLoss loss(0.10, 2005);

@@ -18,6 +18,10 @@ PipelineConfig short_config(int frames = 30) {
   return config;
 }
 
+FrameSource frames_of(const video::SyntheticSequence& seq) {
+  return [&seq](int i) { return seq.frame_at(i); };
+}
+
 core::PbpairConfig pbpair_config(double th, double plr) {
   core::PbpairConfig c;
   c.intra_th = th;
@@ -167,8 +171,8 @@ TEST(Calibration, FindsSizeMatchingIntraTh) {
   // Target: PGOP-2's encoded size.
   PipelineResult target =
       run_pipeline(seq, SchemeSpec::pgop(2), nullptr, config);
-  double th = calibrate_intra_th(seq, pbpair_config(0.9, 0.10),
-                                 target.total_bytes, config);
+  double th = calibrate_intra_th({{frames_of(seq), target.total_bytes}},
+                                 pbpair_config(0.9, 0.10), config)[0];
   PipelineResult matched = run_pipeline(
       seq, SchemeSpec::pbpair(pbpair_config(th, 0.10)), nullptr, config);
   double ratio = static_cast<double>(matched.total_bytes) /
@@ -190,9 +194,9 @@ TEST(Calibration, ConvergesTowardTargetSize) {
 
   double prev_err = -1.0;
   for (int iterations : {2, 5, 9}) {
-    double th = calibrate_intra_th(seq, pbpair_config(0.7, 0.10),
-                                   target.total_bytes, config, 0.0, 1.0,
-                                   iterations);
+    double th = calibrate_intra_th({{frames_of(seq), target.total_bytes}},
+                                   pbpair_config(0.7, 0.10), config,
+                                   iterations)[0];
     PipelineResult r = run_pipeline(
         seq, SchemeSpec::pbpair(pbpair_config(th, 0.10)), nullptr, config);
     double err = std::abs(static_cast<double>(r.total_bytes) -
@@ -206,14 +210,32 @@ TEST(Calibration, ConvergesTowardTargetSize) {
   EXPECT_LT(prev_err, 0.10 * static_cast<double>(target.total_bytes));
 }
 
-TEST(CalibrationDeathTest, RejectsInvertedBounds) {
-  video::SyntheticSequence seq =
+TEST(Calibration, LockstepTargetsMatchOneAtATime) {
+  // Two targets bisect in lockstep, one two-session sweep per step (two
+  // shards wherever the machine has two hardware threads); each must land
+  // on the threshold its own one-target calibration finds.
+  video::SyntheticSequence foreman =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  video::SyntheticSequence akiyo =
       video::make_paper_sequence(video::SequenceKind::kAkiyoLike);
-  PipelineConfig config = short_config(2);
-  EXPECT_DEATH(calibrate_intra_th(seq, pbpair_config(0.9, 0.10),
-                                  /*target_bytes=*/1000, config, /*lo=*/0.9,
-                                  /*hi=*/0.2),
-               "lo <= hi");
+  PipelineConfig config = short_config(12);
+  const core::PbpairConfig base = pbpair_config(0.9, 0.10);
+  const SizeTarget targets[] = {
+      {frames_of(foreman),
+       run_pipeline(foreman, SchemeSpec::pgop(3), nullptr, config)
+           .total_bytes},
+      {frames_of(akiyo),
+       run_pipeline(akiyo, SchemeSpec::pgop(3), nullptr, config)
+           .total_bytes}};
+
+  const std::vector<double> both =
+      calibrate_intra_th({targets[0], targets[1]}, base, config);
+  ASSERT_EQ(both.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(both[i], calibrate_intra_th({targets[i]}, base, config)[0])
+        << "target " << i;
+  }
+  EXPECT_TRUE(calibrate_intra_th({}, base, config).empty());
 }
 
 TEST(Calibration, SizeIsMonotoneInIntraTh) {

@@ -22,6 +22,7 @@
 #include "net/buffer.h"
 #include "net/feedback.h"
 #include "net/loss_model.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sim/pipeline.h"
 #include "sim/session.h"
@@ -716,6 +717,57 @@ TEST(StreamSession, InterleavedSessionsPublishTheirSum) {
   EXPECT_GT(expected["net.packets_dropped.gilbert-elliott"], 0u);
 }
 
+// A health-on session sets its eight health gauges from the snapshot
+// /healthz reads, and counts each state change once: in its own and the
+// global transition counter, and as one flight-ring event.
+TEST(StreamSession, PublishesHealthGaugesAndCountsEachTransitionOnce) {
+  ScopedObs obs_on;
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  PipelineConfig config = short_config(40);
+  config.health.emplace();
+  StreamSession session([&seq](int i) { return seq.frame_at(i); },
+                        SchemeSpec::pbpair(pbpair_config(0.9, 0.10)),
+                        std::make_unique<net::UniformFrameLoss>(0.70, 2005),
+                        config, "hgauge");
+  session.run_to_end();
+
+  std::shared_ptr<obs::SessionHealth> health;
+  for (const auto& candidate : obs::HealthRegistry::global().sessions()) {
+    if (candidate->label() == "hgauge") health = candidate;
+  }
+  ASSERT_NE(health, nullptr);
+  const obs::HealthSnapshot snap = health->snapshot();
+  ASSERT_GT(snap.transitions, 0u);
+
+  const auto gauge = [](const char* name) {
+    return obs::gauge(obs::session_metric("hgauge", name)).value();
+  };
+  EXPECT_EQ(gauge("health_state"), static_cast<double>(snap.state));
+  EXPECT_EQ(gauge("psnr_db"), snap.psnr_window_db);
+  EXPECT_EQ(gauge("psnr_ewma_db"), snap.psnr_ewma_db);
+  EXPECT_EQ(gauge("eff_plr"), snap.eff_plr);
+  EXPECT_EQ(gauge("intra_ratio"), snap.intra_ratio);
+  EXPECT_EQ(gauge("j_per_frame"), snap.energy_j_per_frame);
+  EXPECT_EQ(gauge("battery_remaining_j"), snap.battery_remaining_j);
+  EXPECT_EQ(gauge("projected_lifetime_s"), snap.projected_lifetime_s);
+
+  EXPECT_EQ(
+      obs::counter(obs::session_metric("hgauge", "health_transitions")).value(),
+      snap.transitions);
+  EXPECT_EQ(obs::counter("health.transitions").value(), snap.transitions);
+  const obs::FlightRecorder* ring =
+      obs::FlightRegistry::global().find("hgauge");
+  ASSERT_NE(ring, nullptr);
+  std::uint64_t ring_transitions = 0;
+  for (const obs::FlightRecord& record : ring->snapshot()) {
+    if (record.event == obs::FlightEvent::kHealthTransition) {
+      ++ring_transitions;
+    }
+  }
+  EXPECT_EQ(ring_transitions, snap.transitions);
+}
+
 // --- Delayed feedback ---
 
 TEST(DelayedFeedback, ZeroDelayDeliversSameFrame) {
@@ -799,33 +851,6 @@ TEST(StreamSession, FeedbackLoopDoesNotPerturbPipelineOutput) {
   PipelineResult with = run_pipeline(seq, scheme, &loss_b, with_feedback);
   EXPECT_GT(reports, 0);
   expect_results_identical(without, with);
-}
-
-// --- make_pipeline_evaluator lifetime (the dangling-capture fix) ---
-
-TEST(PipelineEvaluator, OutlivesTheSourceSequence) {
-  PipelineConfig config = short_config(8);
-  core::PointEvaluator evaluator;
-  {
-    video::SyntheticSequence doomed =
-        video::make_paper_sequence(video::SequenceKind::kAkiyoLike);
-    evaluator = make_pipeline_evaluator(doomed, config, /*seed=*/7);
-  }  // `doomed` destroyed: the evaluator must hold its own copy
-
-  core::OperatingPoint point;
-  point.intra_th = 0.9;
-  point.plr = 0.1;
-  evaluator(point);
-
-  video::SyntheticSequence fresh =
-      video::make_paper_sequence(video::SequenceKind::kAkiyoLike);
-  core::OperatingPoint expected;
-  expected.intra_th = 0.9;
-  expected.plr = 0.1;
-  make_pipeline_evaluator(fresh, config, /*seed=*/7)(expected);
-  EXPECT_DOUBLE_EQ(point.avg_psnr_db, expected.avg_psnr_db);
-  EXPECT_DOUBLE_EQ(point.size_kb, expected.size_kb);
-  EXPECT_DOUBLE_EQ(point.total_energy_j, expected.total_energy_j);
 }
 
 // --- frame-trace file (header + flush-on-close) ---

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/json.h"
@@ -139,23 +138,30 @@ TEST(Health, PsnrThresholdsDriveStateToo) {
   EXPECT_EQ(health.snapshot().state, obs::HealthState::kHealthy);
 }
 
-TEST(Health, TransitionCallbackSeesLabelAndEdge) {
+TEST(Health, OnFrameReturnsTheSnapshotAfterTheFrame) {
   obs::HealthConfig config;
   config.window_frames = 2;
-  config.warmup_frames = 0;
-  std::vector<std::tuple<std::string, obs::HealthState, obs::HealthState>>
-      edges;
-  config.on_transition = [&edges](const std::string& label,
-                                  obs::HealthState from, obs::HealthState to,
-                                  const obs::HealthSnapshot&) {
-    edges.emplace_back(label, from, to);
-  };
-  obs::SessionHealth health("cb", config);
-  for (int i = 0; i < 2; ++i) health.on_frame(sample_with_plr(0.15));
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(std::get<0>(edges[0]), "cb");
-  EXPECT_EQ(std::get<1>(edges[0]), obs::HealthState::kHealthy);
-  EXPECT_EQ(std::get<2>(edges[0]), obs::HealthState::kDegraded);
+  config.warmup_frames = 1;
+  obs::SessionHealth health("ret", config);
+  const obs::HealthSnapshot first = health.on_frame(sample_with_plr(0.0));
+  EXPECT_EQ(first.state, obs::HealthState::kHealthy);
+  EXPECT_EQ(first.frames, 1u);
+  EXPECT_EQ(first.transitions, 0u);
+
+  // The returned snapshot already shows the edge this frame caused, and
+  // matches what snapshot() reads afterwards.
+  const obs::HealthSnapshot second = health.on_frame(sample_with_plr(0.3));
+  EXPECT_EQ(second.state, obs::HealthState::kDegraded);
+  EXPECT_EQ(second.frames, 2u);
+  EXPECT_EQ(second.transitions, 1u);
+  EXPECT_NEAR(second.eff_plr, 0.15, 1e-12);
+  const obs::HealthSnapshot read = health.snapshot();
+  EXPECT_EQ(read.state, second.state);
+  EXPECT_EQ(read.frames, second.frames);
+  EXPECT_EQ(read.transitions, second.transitions);
+  EXPECT_EQ(read.eff_plr, second.eff_plr);
+  EXPECT_EQ(read.psnr_ewma_db, second.psnr_ewma_db);
+  EXPECT_EQ(read.projected_lifetime_s, second.projected_lifetime_s);
 }
 
 TEST(Health, EnergyEstimatorsProjectLifetime) {
