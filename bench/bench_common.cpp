@@ -88,6 +88,7 @@ void maybe_write_csv(const sim::Table& table, const std::string& name) {
 
 void enable_observability(const char* bench_name) {
   obs::set_enabled(true);
+  obs::set_trace_capture(std::getenv("PBPAIR_TRACE_JSON") != nullptr);
   obs::set_thread_name(std::string("bench-") + bench_name);
 }
 

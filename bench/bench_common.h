@@ -64,8 +64,9 @@ sim::SweepTask clip_task(
 void maybe_write_csv(const sim::Table& table, const std::string& name);
 
 /// Turns the observability layer on for this bench process (metrics blocks
-/// in the JSON reports need populated counters) and names the main trace
-/// track after the bench. Call first in main().
+/// in the JSON reports need populated counters), captures trace spans when
+/// $PBPAIR_TRACE_JSON names a file for write_json_report to export, and
+/// names the main trace track after the bench. Call first in main().
 void enable_observability(const char* bench_name);
 
 /// Renders `table` as a JSON array of objects, one per row, using the

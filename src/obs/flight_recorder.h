@@ -29,7 +29,7 @@ namespace pbpair::obs {
 enum class FlightEvent : std::uint8_t {
   kFrameEncoded = 0,     // a = bytes, b = intra MBs
   kFrameDecoded,         // a = PSNR in milli-dB, b = bad pixels
-  kFrameLost,            // a = packets lost, b = packets sent
+  kFrameLost,            // a = media packets lost, b = media sent
   kPlrUpdate,            // a = fraction_lost (RTCP Q8), b = corrupted
   kFecDecision,          // a = repair packets sent, b = media packets
   kCrcCorruption,        // a = corrupted packets, b = packets checked

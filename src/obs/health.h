@@ -49,8 +49,8 @@ struct HealthConfig {
 struct FrameHealthSample {
   double psnr_db = 0.0;
   std::uint64_t bytes = 0;             // encoded frame size
-  std::uint32_t packets_sent = 0;      // offered to the channel
-  std::uint32_t packets_delivered = 0; // survived it
+  std::uint32_t packets_sent = 0;       // media packets sent (no repair)
+  std::uint32_t packets_delivered = 0;  // media packets left after FEC
   std::uint32_t intra_mbs = 0;
   std::uint32_t total_mbs = 0;
   double energy_j = 0.0;  // encode+tx joules attributable to this frame

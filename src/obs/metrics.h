@@ -8,7 +8,9 @@
 //  - Everything is a runtime no-op unless enabled: callers guard hot-path
 //    updates with `if (obs::enabled())`, which is one relaxed atomic load.
 //    Enable with the PBPAIR_TRACE environment variable or set_enabled()
-//    (the CLI's --trace flag).
+//    (the CLI's --trace flag). enabled() gates counters, gauges,
+//    histograms and health; trace spans also need span capture, which is
+//    on only when a trace file will be written (obs/trace.h).
 //  - Writes are sharded: Counter/Histogram are small handles (registry +
 //    dense id) whose add()/observe() land on a per-thread shard cell via a
 //    thread-local pointer cache — one relaxed fetch_add, no lock, no

@@ -31,6 +31,12 @@ struct Span {
 constexpr std::size_t kDefaultMaxSpans = 1 << 20;
 std::atomic<std::size_t> g_max_spans{kDefaultMaxSpans};
 
+std::atomic<bool> g_capture{false};
+
+bool recording() {
+  return g_capture.load(std::memory_order_relaxed) && enabled();
+}
+
 std::mutex g_mutex;
 std::vector<Span>& spans() {
   static std::vector<Span>* v = new std::vector<Span>();
@@ -70,17 +76,26 @@ void set_thread_name(const std::string& name) {
   thread_names()[tid] = name;
 }
 
+bool trace_capture() { return g_capture.load(std::memory_order_relaxed); }
+
+void set_trace_capture(bool on) {
+  g_capture.store(on, std::memory_order_relaxed);
+}
+
 void record_span(const char* name, std::int64_t start_ns, std::int64_t dur_ns,
                  std::int64_t arg, const char* arg_name) {
-  if (!enabled()) return;
+  if (!recording()) return;
   const int tid = assign_thread_id();
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (spans().size() >= g_max_spans.load(std::memory_order_relaxed)) {
-    counter("obs.trace.dropped").add(1);
-    return;
+  {
+    std::lock_guard<std::mutex> lock(g_mutex);
+    if (spans().size() < g_max_spans.load(std::memory_order_relaxed)) {
+      spans().push_back(Span{name, start_ns, dur_ns, tid, arg,
+                             arg_name != nullptr ? arg_name : "i"});
+      return;
+    }
   }
-  spans().push_back(Span{name, start_ns, dur_ns, tid, arg,
-                         arg_name != nullptr ? arg_name : "i"});
+  static Counter& dropped = counter("obs.trace.dropped");
+  dropped.add(1);
 }
 
 ScopedSpan::ScopedSpan(const char* name, std::int64_t arg,
@@ -88,7 +103,7 @@ ScopedSpan::ScopedSpan(const char* name, std::int64_t arg,
     : name_(name),
       arg_(arg),
       arg_name_(arg_name),
-      start_ns_(enabled() ? trace_now_ns() : -1) {}
+      start_ns_(recording() ? trace_now_ns() : -1) {}
 
 ScopedSpan::~ScopedSpan() {
   if (start_ns_ < 0) return;

@@ -1,9 +1,13 @@
 // Lightweight trace spans with a Chrome trace-event exporter.
 //
 // A ScopedSpan records (name, start, duration, thread) into a process-wide
-// buffer when observability is enabled (obs/metrics.h); when disabled its
-// constructor is a single relaxed load and nothing is recorded. Spans never
-// influence the traced code — they only read the clock.
+// buffer only while observability is enabled (obs/metrics.h) AND span
+// capture is on. Capture stays off unless the process will write the
+// trace (pbpair simulate --trace-json, a bench with $PBPAIR_TRACE_JSON
+// set), so a metrics-only run such as a long `pbpair serve --metrics-port`
+// grows no buffer that nothing reads. When not recording, the constructor
+// is a relaxed load or two and nothing is recorded. Spans never influence
+// the traced code — they only read the clock.
 //
 // Threads get small stable ids in first-use order plus an optional
 // human-readable name (the sweep's pool workers register theirs), and the
@@ -26,14 +30,21 @@ int current_thread_id();
 /// Names the calling thread's track in the exported trace (idempotent).
 void set_thread_name(const std::string& name);
 
-/// Appends one complete span. `name` must outlive the trace buffer (string
-/// literals only). When `arg` >= 0 it is exported as args:{<arg_name>: arg}
-/// (arg_name defaults to "i"). The buffer is bounded; spans past the cap
-/// are dropped and counted in the `obs.trace.dropped` counter.
+/// Span capture: off by default. Turn it on only when the process will
+/// export the buffer with write_chrome_trace().
+bool trace_capture();
+void set_trace_capture(bool on);
+
+/// Appends one complete span when enabled() and trace_capture() hold.
+/// `name` must outlive the trace buffer (string literals only). When
+/// `arg` >= 0 it is exported as args:{<arg_name>: arg} (arg_name defaults
+/// to "i"). The buffer is bounded; spans past the cap are dropped and
+/// counted in the `obs.trace.dropped` counter.
 void record_span(const char* name, std::int64_t start_ns, std::int64_t dur_ns,
                  std::int64_t arg = -1, const char* arg_name = nullptr);
 
-/// RAII span: records [construction, destruction) when enabled.
+/// RAII span: records [construction, destruction) when enabled() and
+/// trace_capture() hold at construction.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, std::int64_t arg = -1,
@@ -47,7 +58,7 @@ class ScopedSpan {
   const char* name_;
   std::int64_t arg_;
   const char* arg_name_;
-  std::int64_t start_ns_;  // < 0: disabled at construction, record nothing
+  std::int64_t start_ns_;  // < 0: not recording at construction
 };
 
 /// Number of spans currently buffered.

@@ -122,8 +122,8 @@ struct FrameTrace {
   std::size_t bytes = 0;       // encoded frame size
   int intra_mbs = 0;
   int pre_me_intra_mbs = 0;    // intra MBs that skipped motion estimation
-  int packets_sent = 0;        // offered to the channel
-  int packets_delivered = 0;   // survived it
+  int packets_sent = 0;        // offered to the channel, repair included
+  int packets_delivered = 0;   // media packets left after FEC decode
   bool lost = false;           // at least one MEDIA packet missing post-FEC
   double psnr_db = 0.0;        // decoder output vs original
   std::uint64_t bad_pixels = 0;

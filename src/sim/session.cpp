@@ -450,6 +450,9 @@ void StreamSession::accumulate(const FrameTrace& trace) {
 }
 
 void StreamSession::update_telemetry(const FrameTrace& trace) {
+  // Repair packets are consumed by fec_decode, so packets_delivered counts
+  // media only; loss figures compare it with the media packets sent.
+  const int media_sent = trace.packets_sent - trace.fec_repair_sent;
   if (flight_ != nullptr) {
     // Always-on breadcrumbs (a few ns each, no clock, no allocation):
     // enough recent context to reconstruct WHY a session degraded from
@@ -461,8 +464,7 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
                     static_cast<std::int64_t>(trace.bad_pixels));
     if (trace.lost) {
       flight_->record(obs::FlightEvent::kFrameLost, trace.index,
-                      trace.packets_sent - trace.packets_delivered,
-                      trace.packets_sent);
+                      media_sent - trace.packets_delivered, media_sent);
     }
     if (trace.crc_corrupted > 0) {
       flight_->record(obs::FlightEvent::kCrcCorruption, trace.index,
@@ -470,8 +472,7 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
     }
     if (trace.fec_repair_sent > 0) {
       flight_->record(obs::FlightEvent::kFecDecision, trace.index,
-                      trace.fec_repair_sent,
-                      trace.packets_sent - trace.fec_repair_sent);
+                      trace.fec_repair_sent, media_sent);
     }
   }
 
@@ -507,7 +508,7 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
         1,
         trace.bytes,
         trace.lost ? 1u : 0u,
-        static_cast<std::uint64_t>(trace.packets_sent),
+        static_cast<std::uint64_t>(media_sent),
         static_cast<std::uint64_t>(trace.packets_delivered),
         static_cast<std::uint64_t>(trace.intra_mbs),
         static_cast<std::uint64_t>(mbs_per_frame_),
@@ -524,7 +525,7 @@ void StreamSession::update_telemetry(const FrameTrace& trace) {
     obs::FrameHealthSample sample;
     sample.psnr_db = trace.psnr_db;
     sample.bytes = trace.bytes;
-    sample.packets_sent = static_cast<std::uint32_t>(trace.packets_sent);
+    sample.packets_sent = static_cast<std::uint32_t>(media_sent);
     sample.packets_delivered =
         static_cast<std::uint32_t>(trace.packets_delivered);
     sample.intra_mbs = static_cast<std::uint32_t>(trace.intra_mbs);

@@ -17,6 +17,7 @@
 #include "codec/encoder.h"
 #include "common/json.h"
 #include "net/loss_model.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/parallel_sweep.h"
@@ -26,17 +27,24 @@
 namespace pbpair {
 namespace {
 
-// Restores the previous enabled state on scope exit so tests don't leak
-// tracing into each other.
+// Sets obs on or off and span capture (what naming a trace file does),
+// restoring both on scope exit so tests don't leak tracing into each
+// other.
 class ScopedTracing {
  public:
-  explicit ScopedTracing(bool on) : prev_(obs::enabled()) {
+  explicit ScopedTracing(bool on, bool capture = true)
+      : prev_(obs::enabled()), prev_capture_(obs::trace_capture()) {
     obs::set_enabled(on);
+    obs::set_trace_capture(capture);
   }
-  ~ScopedTracing() { obs::set_enabled(prev_); }
+  ~ScopedTracing() {
+    obs::set_enabled(prev_);
+    obs::set_trace_capture(prev_capture_);
+  }
 
  private:
   bool prev_;
+  bool prev_capture_;
 };
 
 // Fixture for tests that touch the GLOBAL registry/trace buffer: wipes
@@ -279,6 +287,20 @@ TEST(ObsTrace, DisabledSpansRecordNothing) {
   EXPECT_EQ(obs::trace_span_count(), 0u);
 }
 
+TEST(ObsTrace, ScopedTracingRestoresCaptureState) {
+  const bool before = obs::trace_capture();
+  {
+    ScopedTracing outer(true, /*capture=*/false);
+    EXPECT_FALSE(obs::trace_capture());
+    {
+      ScopedTracing inner(true);
+      EXPECT_TRUE(obs::trace_capture());
+    }
+    EXPECT_FALSE(obs::trace_capture());
+  }
+  EXPECT_EQ(obs::trace_capture(), before);
+}
+
 TEST(ObsTrace, ChromeExportIsValidTraceEventJson) {
   ScopedTracing tracing(true);
   obs::clear_trace();
@@ -387,21 +409,30 @@ TEST(ObsInvariant, TracingDoesNotChangeEncoderBitstream) {
     return streams;
   };
 
-  std::vector<std::vector<std::uint8_t>> off, on;
+  std::vector<std::vector<std::uint8_t>> off, metrics, captured;
   {
     ScopedTracing tracing(false);
     off = encode_all();
   }
   {
+    // Metrics on, no trace file named: no span is recorded.
+    ScopedTracing tracing(true, /*capture=*/false);
+    obs::clear_trace();
+    metrics = encode_all();
+    EXPECT_EQ(obs::trace_span_count(), 0u);
+  }
+  {
     ScopedTracing tracing(true);
     obs::clear_trace();
-    on = encode_all();
+    captured = encode_all();
     EXPECT_GT(obs::trace_span_count(), 0u);  // tracing really was on
   }
-  ASSERT_EQ(off.size(), on.size());
-  for (int i = 0; i < frames; ++i) {
-    EXPECT_EQ(off[static_cast<std::size_t>(i)], on[static_cast<std::size_t>(i)])
-        << "frame " << i << " bitstream changed with tracing enabled";
+  for (const auto* on : {&metrics, &captured}) {
+    ASSERT_EQ(off.size(), on->size());
+    for (std::size_t i = 0; i < off.size(); ++i) {
+      EXPECT_EQ(off[i], (*on)[i])
+          << "frame " << i << " bitstream changed with tracing enabled";
+    }
   }
 }
 
@@ -448,18 +479,25 @@ TEST(ObsInvariant, TracingDoesNotChangePipelineReportOrEnergy) {
                              config);
   };
 
-  std::string off_digest, on_digest;
+  std::string off_digest, metrics_digest, captured_digest;
   {
     ScopedTracing tracing(false);
     off_digest = digest(run_once());
   }
   {
+    ScopedTracing tracing(true, /*capture=*/false);
+    obs::clear_trace();
+    metrics_digest = digest(run_once());
+    EXPECT_EQ(obs::trace_span_count(), 0u);
+  }
+  {
     ScopedTracing tracing(true);
     obs::clear_trace();
-    on_digest = digest(run_once());
+    captured_digest = digest(run_once());
     EXPECT_GT(obs::trace_span_count(), 0u);
   }
-  EXPECT_EQ(off_digest, on_digest);
+  EXPECT_EQ(off_digest, metrics_digest);
+  EXPECT_EQ(off_digest, captured_digest);
 }
 
 TEST_F(GlobalObs, DeterministicMetricsIdenticalAt1_2_8SweepThreads) {
@@ -501,6 +539,36 @@ TEST_F(GlobalObs, DeterministicMetricsIdenticalAt1_2_8SweepThreads) {
     }
   }
   obs::Registry::global().reset();
+}
+
+// Metrics without a trace file (pbpair serve --metrics-port, perfbench's
+// serve_fleet) publish every counter but buffer no span: nothing would
+// ever export one.
+TEST_F(GlobalObs, MetricsWithoutATraceRecordNoSpans) {
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  core::PbpairConfig pbpair;
+  pbpair.intra_th = 0.9;
+  pbpair.plr = 0.10;
+  std::vector<sim::SweepTask> tasks;
+  for (int t = 0; t < 4; ++t) {
+    sim::SweepTask task;
+    task.scheme = sim::SchemeSpec::pbpair(pbpair);
+    task.config = small_pipeline_config(6);
+    task.config.health = obs::HealthConfig{};
+    task.source = [&seq](int i) { return seq.frame_at(i); };
+    task.make_loss = [t] {
+      return std::make_unique<net::UniformFrameLoss>(0.10, 2005 + t);
+    };
+    tasks.push_back(std::move(task));
+  }
+
+  ScopedTracing tracing(true, /*capture=*/false);
+  sim::SweepOptions options;
+  options.threads = 2;
+  sim::run_parallel_sweep(tasks, options);
+  EXPECT_EQ(obs::counter("encoder.frames").value(), 24u);
+  EXPECT_EQ(obs::trace_span_count(), 0u);
 }
 
 TEST(ObsPipeline, FrameTraceJsonlIsDeterministicAndParses) {

@@ -768,6 +768,40 @@ TEST(StreamSession, PublishesHealthGaugesAndCountsEachTransitionOnce) {
   EXPECT_EQ(ring_transitions, snap.transitions);
 }
 
+// fec_decode consumes the repair packets, so health and the session's
+// packet counters compare the media delivered with the media sent: a
+// lossless FEC stream reads HEALTHY with no effective loss.
+TEST(StreamSession, FecRepairIsNotCountedAsLoss) {
+  ScopedObs obs_on;
+  video::SyntheticSequence seq =
+      video::make_paper_sequence(video::SequenceKind::kForemanLike);
+  PipelineConfig config = short_config(48);
+  net::FecConfig fec;
+  fec.k = 4;
+  fec.m = 1;
+  config.fec = fec;
+  config.health.emplace();
+  StreamSession session([&seq](int i) { return seq.frame_at(i); },
+                        SchemeSpec::pbpair(pbpair_config(0.9, 0.0)),
+                        std::make_unique<net::NoLoss>(), config, "fecrepair");
+  session.run_to_end();
+  ASSERT_GT(session.fec_encoder()->stats().repair_packets, 0u);
+
+  std::shared_ptr<obs::SessionHealth> health;
+  for (const auto& candidate : obs::HealthRegistry::global().sessions()) {
+    if (candidate->label() == "fecrepair") health = candidate;
+  }
+  ASSERT_NE(health, nullptr);
+  const obs::HealthSnapshot snap = health->snapshot();
+  EXPECT_EQ(snap.state, obs::HealthState::kHealthy);
+  EXPECT_EQ(snap.eff_plr, 0.0);
+  const auto count = [](const char* name) {
+    return obs::counter(obs::session_metric("fecrepair", name)).value();
+  };
+  EXPECT_GT(count("packets_sent"), 0u);
+  EXPECT_EQ(count("packets_sent"), count("packets_delivered"));
+}
+
 // --- Delayed feedback ---
 
 TEST(DelayedFeedback, ZeroDelayDeliversSameFrame) {

@@ -24,10 +24,11 @@
 // rotating over the paper's three, per-session seeds) across the shard
 // workers and prints per-session rows plus the deterministic aggregate
 // (DESIGN.md §9). The observability flags (DESIGN.md §8) enable the
-// metrics/trace layer: --trace turns it on (as does PBPAIR_TRACE=1), the
+// metrics layer: --trace turns it on (as does PBPAIR_TRACE=1), the
 // *-json flags export what was collected, and --deterministic restricts
 // the metrics JSON to the counters that are a pure function of the
-// workload. Live telemetry (DESIGN.md §10): serve tracks per-session
+// workload. Trace spans are captured only when --trace-json will write
+// them. Live telemetry (DESIGN.md §10): serve tracks per-session
 // health and, with --metrics-port, exposes GET /metrics (Prometheus text)
 // and GET /healthz on 127.0.0.1; monitor scrapes twice and prints the
 // per-session delta table. --log-json / --verbose / --log-level control
@@ -351,7 +352,8 @@ int cmd_simulate(const common::ArgParser& args) {
   }
 
   // Observability: --trace (or PBPAIR_TRACE=1) turns the layer on; any
-  // export flag implies it, since an empty trace helps nobody.
+  // export flag implies it, since an empty trace helps nobody. Spans are
+  // captured only for --trace-json, the one output that reads them.
   const std::string trace_json = args.get("trace-json");
   const std::string metrics_json = args.get("metrics-json");
   const std::string frame_trace = args.get("frame-trace");
@@ -360,6 +362,7 @@ int cmd_simulate(const common::ArgParser& args) {
     obs::set_enabled(true);
     obs::set_thread_name("pbpair-simulate");
   }
+  if (!trace_json.empty()) obs::set_trace_capture(true);
 
   sim::PipelineConfig config;
   config.frames = args.get_int("frames", 120);
